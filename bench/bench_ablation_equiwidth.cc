@@ -19,7 +19,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "src/core/equiwidth_cm.h"
+#include "src/core/ecm_sketch.h"
+#include "src/window/equiwidth_window.h"
 #include "src/window/hybrid_histogram.h"
 #include "src/util/random.h"
 

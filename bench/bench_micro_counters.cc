@@ -11,7 +11,6 @@
 
 #include "src/core/count_min.h"
 #include "src/core/ecm_sketch.h"
-#include "src/core/equiwidth_cm.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
@@ -203,8 +202,8 @@ BENCHMARK(BM_EcmSelfJoin)->Arg(1000)->Arg(kWindow);
 
 // --- SIMD hash kernel tiers ------------------------------------------------
 //
-// Arg(0..2) selects the SimdLevel (0 = scalar, 1 = sse2, 2 = avx2); tiers
-// the host CPU lacks are skipped. The label carries the tier name so JSON
+// Arg(0..1) selects the SimdLevel (0 = scalar, 1 = avx2); a tier
+// the host CPU lacks is skipped. The label carries the tier name so JSON
 // rows stay readable. Each benchmark forces the tier for its timed
 // section only and restores auto dispatch afterwards.
 
@@ -242,7 +241,7 @@ void BM_Mix64Batch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kHashKeys));
 }
-BENCHMARK(BM_Mix64Batch)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Mix64Batch)->Arg(0)->Arg(1);
 
 void BM_BucketsRowMajor(benchmark::State& state) {
   SimdLevel level;
@@ -261,7 +260,7 @@ void BM_BucketsRowMajor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kHashKeys));
 }
-BENCHMARK(BM_BucketsRowMajor)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BucketsRowMajor)->Arg(0)->Arg(1);
 
 void BM_BucketsMixed(benchmark::State& state) {
   SimdLevel level;
@@ -279,7 +278,7 @@ void BM_BucketsMixed(benchmark::State& state) {
   ResetSimdLevel();
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BucketsMixed)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BucketsMixed)->Arg(0)->Arg(1);
 
 void BM_CountMinAdd(benchmark::State& state) {
   CountMinSketch cm = CountMinSketch::FromErrorBounds(0.05, 0.1, 1);

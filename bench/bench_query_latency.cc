@@ -1,15 +1,13 @@
-// Query-latency microbenchmarks for the PR-4 query-pipeline overhaul —
-// the read-path counterpart of bench_table3's update rates. Measures, on
-// a window-steady wc'98-like sketch:
+// Query-latency microbenchmarks — the read-path counterpart of
+// bench_table3's update rates. Measures, on a window-steady wc'98-like
+// sketch:
 //
-//  * PointQuery throughput (per-call and batched) for ECM-EH/DW/RW;
-//  * SelfJoin and EstimateL1: the batched single-estimate-per-cell path
-//    vs the legacy per-cell double-Estimate loop over the counters' scan
-//    reference — the exact pre-PR4 query cost (ablation pairs);
-//  * RandomizedWave::Estimate at large retained-run counts: run
-//    prefix-sum lookup vs the legacy linear suffix walk;
-//  * dyadic heavy-hitter sweeps: batched frontier descent vs the
-//    recursive per-node descent.
+//  * PointQuery throughput (per-call and batched) for ECM-EH/DW, plus
+//    large-frontier batches that take the bucket-sorted sweep;
+//  * the SIMD hash kernels per instruction-set tier;
+//  * SelfJoin and EstimateL1 (batched single-estimate-per-cell path);
+//  * RandomizedWave::Estimate at large retained-run counts;
+//  * dyadic heavy-hitter sweeps (batched frontier descent).
 //
 // Run with `--json BENCH_prN.json` for the machine-readable rows of the
 // perf-trajectory baseline (BENCH_pr4.json is the first query-side one);
@@ -18,7 +16,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -140,50 +137,35 @@ double MeasurePointQueriesBatched(const EcmSketch<Counter>& sketch,
   return rate;
 }
 
-struct AblationPair {
-  double fast = 0.0;
-  double legacy = 0.0;
-};
+// --- large-frontier batched point queries ---------------------------------
 
-// --- large-frontier batched point queries: bucket-sorted vs scalar ---------
-
-// PR-5 ablation: at large frontier sizes the per-row counting sort makes
-// the counter walk sequential and lets column-colliding keys share one
-// Estimate (frontier >> width means dozens of keys per column); results
-// are bit-identical to the arrival-order sweep. The win tracks the
-// per-estimate cost: partial ranges pay a straddling-level binary search
-// per counter, full-coverage probes are O(1) off the running total since
-// PR 4 — both regimes are recorded, each sweep in both explicit modes
-// plus the cost-model auto pick (PR 7), which must track the better of
-// the two in each regime.
+// At large frontier sizes PointQueryBatchAt counting-sorts each row's
+// keys, so the counter walk is sequential and column-colliding keys
+// (frontier >> width means dozens per column) share one Estimate. The
+// win tracks the per-estimate cost: partial ranges pay a straddling-level
+// binary search per counter, full-coverage probes are O(1) off the
+// running total — both regimes are recorded.
 template <SlidingWindowCounter Counter>
-AblationPair MeasureBatchBucketSort(const EcmSketch<Counter>& sketch,
-                                    size_t frontier, size_t sweeps,
-                                    uint64_t range, const char* regime) {
+double MeasureLargeFrontier(const EcmSketch<Counter>& sketch, size_t frontier,
+                            size_t sweeps, uint64_t range,
+                            const char* regime) {
   Rng rng(7);
   std::vector<uint64_t> keys(frontier);
   for (auto& k : keys) k = rng.Uniform(1 << 16);
   std::vector<double> out(frontier);
   const Timestamp now = sketch.Now();
-  auto measure = [&](BatchQueryMode mode) {
-    Timer timer;
-    for (size_t i = 0; i < sweeps; ++i) {
-      sketch.PointQueryBatchAt(keys.data(), frontier, range, now, out.data(),
-                               mode);
-      g_sink += out[i % frontier];
-    }
-    return static_cast<double>(sweeps * frontier) / timer.ElapsedSeconds();
-  };
-  AblationPair res;
-  res.fast = measure(BatchQueryMode::kBucketSorted);
-  res.legacy = measure(BatchQueryMode::kScalarSweep);
-  double auto_rate = measure(BatchQueryMode::kAuto);
-  std::string base = std::string("query/point-batch-sort/ECM-") +
-                     std::string(CounterName<Counter>()) + "/" + regime;
-  RecordBenchResult(base + "/bucketed", res.fast, 0.0);
-  RecordBenchResult(base + "/scalar", res.legacy, 0.0);
-  RecordBenchResult(base + "/auto", auto_rate, 0.0);
-  return res;
+  Timer timer;
+  for (size_t i = 0; i < sweeps; ++i) {
+    sketch.PointQueryBatchAt(keys.data(), frontier, range, now, out.data());
+    g_sink += out[i % frontier];
+  }
+  const double rate =
+      static_cast<double>(sweeps * frontier) / timer.ElapsedSeconds();
+  RecordBenchResult(std::string("query/point-batch-sort/ECM-") +
+                        std::string(CounterName<Counter>()) + "/" + regime +
+                        "/auto",
+                    rate, 0.0);
+  return rate;
 }
 
 // --- SIMD hash kernels: per-tier rates -------------------------------------
@@ -210,8 +192,7 @@ void MeasureHashKernels(size_t iters) {
       "SIMD hash kernels (keys/second per tier; row-major fill is "
       "per-key over all 3 rows)",
       {"kernel", "tier", "rate", "vs scalar"});
-  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kSSE2,
-                                   SimdLevel::kAVX2};
+  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAVX2};
   double mix_scalar = 0.0, row_scalar = 0.0, one_scalar = 0.0;
   for (SimdLevel level : kLevels) {
     if (!SimdLevelSupported(level)) continue;
@@ -266,64 +247,27 @@ void MeasureHashKernels(size_t iters) {
   }
 }
 
-// --- self-join / L1: batched vs legacy per-cell scans ----------------------
+// --- self-join / L1 --------------------------------------------------------
 
-// The pre-PR4 SelfJoin: two independent per-counter scan estimates per
-// cell (EstimateScanReference is the verbatim pre-PR4 Estimate).
-double LegacySelfJoin(const EcmEh& sketch, uint64_t range, Timestamp now) {
-  const EcmConfig& cfg = sketch.config();
-  double best = std::numeric_limits<double>::infinity();
-  for (int j = 0; j < cfg.depth; ++j) {
-    double row = 0.0;
-    for (uint32_t i = 0; i < cfg.width; ++i) {
-      const ExponentialHistogram& c = sketch.CounterAt(j, i);
-      row += c.EstimateScanReference(now, range) *
-             c.EstimateScanReference(now, range);
-    }
-    best = std::min(best, row);
-  }
-  return best;
-}
-
-double LegacyL1(const EcmEh& sketch, uint64_t range, Timestamp now) {
-  const EcmConfig& cfg = sketch.config();
-  double total = 0.0;
-  for (int j = 0; j < cfg.depth; ++j) {
-    for (uint32_t i = 0; i < cfg.width; ++i) {
-      total += sketch.CounterAt(j, i).EstimateScanReference(now, range);
-    }
-  }
-  return total / cfg.depth;
-}
-
-template <typename FastFn, typename LegacyFn>
-AblationPair MeasureAblation(const char* name, size_t fast_calls,
-                             size_t legacy_calls, Timestamp now,
-                             ProbeMode mode, FastFn fast, LegacyFn legacy) {
-  AblationPair out;
-  {
-    std::vector<Probe> probes = MakeProbes(now, fast_calls, mode);
-    Timer timer;
-    for (const Probe& p : probes) g_sink += fast(p);
-    out.fast = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  {
-    std::vector<Probe> probes = MakeProbes(now, legacy_calls, mode);
-    Timer timer;
-    for (const Probe& p : probes) g_sink += legacy(p);
-    out.legacy = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  RecordBenchResult(std::string(name) + "/batched", out.fast, 0.0);
-  RecordBenchResult(std::string(name) + "/legacy", out.legacy, 0.0);
-  return out;
+template <typename Fn>
+double MeasureQueryRate(const std::string& name, size_t calls, Timestamp now,
+                        ProbeMode mode, Fn fn) {
+  std::vector<Probe> probes = MakeProbes(now, calls, mode);
+  Timer timer;
+  for (const Probe& p : probes) g_sink += fn(p);
+  const double rate =
+      static_cast<double>(probes.size()) / timer.ElapsedSeconds();
+  RecordBenchResult(name + "/batched", rate, 0.0);
+  return rate;
 }
 
 // --- RW counter estimates at large run counts ------------------------------
 
-AblationPair MeasureRwEstimate(size_t fast_calls, size_t legacy_calls) {
+double MeasureRwEstimate(size_t calls) {
   // Small epsilon => per-level capacity 10000 retained samples; distinct
-  // timestamps keep runs uncompressed, so the legacy path walks thousands
-  // of runs per level while the indexed path binary-searches.
+  // timestamps keep runs uncompressed, so a linear suffix walk would
+  // visit thousands of runs per level where the indexed path
+  // binary-searches.
   RandomizedWave::Config cfg;
   cfg.epsilon = 0.02;
   cfg.delta = 0.1;
@@ -333,115 +277,44 @@ AblationPair MeasureRwEstimate(size_t fast_calls, size_t legacy_calls) {
   RandomizedWave rw(cfg);
   uint64_t arrivals = ScaledEvents(200'000);
   for (Timestamp t = 1; t <= arrivals; ++t) rw.Add(t, 3);
-  Timestamp now = rw.last_timestamp();
-
-  AblationPair out;
-  {
-    std::vector<Probe> probes = MakeProbes(now, fast_calls, ProbeMode::kMixed);
-    Timer timer;
-    for (const Probe& p : probes) g_sink += rw.Estimate(p.now, p.range);
-    out.fast = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  {
-    std::vector<Probe> probes =
-        MakeProbes(now, legacy_calls, ProbeMode::kMixed);
-    Timer timer;
-    for (const Probe& p : probes) {
-      g_sink += rw.EstimateScanReference(p.now, p.range);
-    }
-    out.legacy = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  RecordBenchResult("query/rw-estimate/indexed", out.fast,
+  std::vector<Probe> probes =
+      MakeProbes(rw.last_timestamp(), calls, ProbeMode::kMixed);
+  Timer timer;
+  for (const Probe& p : probes) g_sink += rw.Estimate(p.now, p.range);
+  const double rate =
+      static_cast<double>(probes.size()) / timer.ElapsedSeconds();
+  RecordBenchResult("query/rw-estimate/indexed", rate,
                     static_cast<double>(rw.MemoryBytes()));
-  RecordBenchResult("query/rw-estimate/scan", out.legacy, 0.0);
-  return out;
+  return rate;
 }
 
 // --- dyadic heavy hitters --------------------------------------------------
 
-// The pre-PR4 point query: one-pass hashing, per-cell scan estimates
-// (EstimateScanReference is the verbatim pre-PR4 counter Estimate). The
-// hash family is rebuilt from the config — identical mapping guaranteed.
-double LegacyPointQuery(const EcmEh& sketch, const HashFamily& hf,
-                        uint64_t key, uint64_t range, Timestamp now) {
-  uint32_t cols[kMaxSketchDepth];
-  hf.BucketsMixed(key, sketch.config().width, cols);
-  double best = std::numeric_limits<double>::infinity();
-  for (int j = 0; j < sketch.config().depth; ++j) {
-    best = std::min(
-        best, sketch.CounterAt(j, cols[j]).EstimateScanReference(now, range));
-  }
-  return best;
-}
-
-// The pre-PR4 heavy-hitter descent: recursive per-node group testing
-// over legacy point queries.
-void DescendPerNode(const DyadicEcm<ExponentialHistogram>& dy,
-                    const std::vector<HashFamily>& hfs, int level,
-                    uint64_t prefix, double threshold, uint64_t range,
-                    std::vector<HeavyHitter>* out) {
-  const auto& sketch = dy.level(level);
-  double est = LegacyPointQuery(sketch, hfs[static_cast<size_t>(level)],
-                                prefix, range, sketch.Now());
-  if (est < threshold) return;
-  if (level == 0) {
-    out->push_back(HeavyHitter{prefix, est});
-    return;
-  }
-  DescendPerNode(dy, hfs, level - 1, prefix * 2, threshold, range, out);
-  DescendPerNode(dy, hfs, level - 1, prefix * 2 + 1, threshold, range, out);
-}
-
-AblationPair MeasureHeavyHitters(const std::vector<StreamEvent>& events,
-                                 size_t fast_sweeps, size_t legacy_sweeps) {
+double MeasureHeavyHitters(const std::vector<StreamEvent>& events,
+                           size_t sweeps) {
   constexpr int kDomainBits = 16;
   auto dy = DyadicEcm<ExponentialHistogram>::Create(
       kDomainBits, kEpsilon, kDelta, WindowMode::kTimeBased, kWindow,
       /*seed=*/7, /*max_arrivals=*/1 << 17);
-  AblationPair out;
   if (!dy.ok()) {
     std::fprintf(stderr, "dyadic config: %s\n",
                  dy.status().ToString().c_str());
-    return out;
+    return 0.0;
   }
   uint64_t mask = (1ULL << kDomainBits) - 1;
   for (const StreamEvent& e : events) dy->Add(e.key & mask, e.ts);
   constexpr double kPhi = 0.02;
   size_t hitters = 0;
-  {
-    Timer timer;
-    for (size_t i = 0; i < fast_sweeps; ++i) {
-      auto hh = dy->HeavyHitters(kPhi, kWindow);
-      hitters = hh.size();
-    }
-    out.fast = static_cast<double>(fast_sweeps) / timer.ElapsedSeconds();
+  Timer timer;
+  for (size_t i = 0; i < sweeps; ++i) {
+    hitters = dy->HeavyHitters(kPhi, kWindow).size();
   }
-  {
-    // The full pre-PR4 pipeline: per-sweep L1 recomputation over the
-    // scan estimates (no memo), recursive per-node descent over legacy
-    // point queries.
-    std::vector<HashFamily> hfs;
-    for (int l = 0; l < kDomainBits; ++l) {
-      const EcmConfig& lcfg = dy->level(l).config();
-      hfs.emplace_back(lcfg.seed, lcfg.depth, lcfg.hash_reduction);
-    }
-    Timer timer;
-    for (size_t i = 0; i < legacy_sweeps; ++i) {
-      double threshold = kPhi * LegacyL1(dy->level(0), kWindow,
-                                         dy->level(0).Now());
-      std::vector<HeavyHitter> hh;
-      DescendPerNode(*dy, hfs, kDomainBits - 1, 0, threshold, kWindow, &hh);
-      DescendPerNode(*dy, hfs, kDomainBits - 1, 1, threshold, kWindow, &hh);
-      hitters = std::max(hitters, hh.size());
-    }
-    out.legacy = static_cast<double>(legacy_sweeps) / timer.ElapsedSeconds();
-  }
+  const double rate = static_cast<double>(sweeps) / timer.ElapsedSeconds();
   std::printf("  (heavy-hitter sweeps report ~%zu keys at phi=%.2f)\n",
               hitters, kPhi);
-  RecordBenchResult("query/hh/DYADIC-EH/frontier", out.fast,
+  RecordBenchResult("query/hh/DYADIC-EH/frontier", rate,
                     static_cast<double>(dy->MemoryBytes()));
-  RecordBenchResult("query/hh/DYADIC-EH/pernode", out.legacy, 0.0);
-  return out;
+  return rate;
 }
 
 void Run() {
@@ -466,7 +339,7 @@ void Run() {
   PrintRow({"ECM-DW", FormatDouble(dw_pq, 0), FormatDouble(dw_pqb, 0)});
   // End-to-end SIMD dispatch ablation: the identical batched loop with
   // the hash kernels pinned to the scalar tier (what ECM_SIMD=scalar or a
-  // non-x86 build runs); the auto row above carries the vector tiers.
+  // non-x86 build runs); the auto row above carries the vector tier.
   if (ForceSimdLevel(SimdLevel::kScalar)) {
     double eh_pqb_scalar =
         MeasurePointQueriesBatched(*eh, events, kQ, "/forced-scalar");
@@ -477,64 +350,42 @@ void Run() {
 
   MeasureHashKernels(kQ * 8);
 
-  PrintHeader(
-      "Large-frontier batched point queries, 4096 keys "
-      "(keys/second): per-row bucket sort vs arrival-order sweep",
-      {"regime", "bucketed", "scalar", "speedup"});
-  AblationPair bsp = MeasureBatchBucketSort(
-      *eh, /*frontier=*/4096, std::max<size_t>(kQ / 4096, 4),
-      /*range=*/kWindow / 2, "partial");
-  PrintRow({"partial range (w/2)", FormatDouble(bsp.fast, 0),
-            FormatDouble(bsp.legacy, 0),
-            FormatDouble(bsp.legacy > 0 ? bsp.fast / bsp.legacy : 0.0, 2)});
-  AblationPair bsf = MeasureBatchBucketSort(
-      *eh, /*frontier=*/4096, std::max<size_t>(kQ / 4096, 4),
-      /*range=*/kWindow, "full");
-  PrintRow({"full window", FormatDouble(bsf.fast, 0),
-            FormatDouble(bsf.legacy, 0),
-            FormatDouble(bsf.legacy > 0 ? bsf.fast / bsf.legacy : 0.0, 2)});
+  PrintHeader("Large-frontier batched point queries, 4096 keys (keys/second)",
+              {"regime", "rate"});
+  const size_t frontier_sweeps = std::max<size_t>(kQ / 4096, 4);
+  PrintRow({"partial range (w/2)",
+            FormatDouble(MeasureLargeFrontier(*eh, 4096, frontier_sweeps,
+                                              kWindow / 2, "partial"),
+                         0)});
+  PrintRow({"full window",
+            FormatDouble(MeasureLargeFrontier(*eh, 4096, frontier_sweeps,
+                                              kWindow, "full"),
+                         0)});
 
-  PrintHeader(
-      "SelfJoin / EstimateL1 (calls/second): batched single-estimate "
-      "path vs legacy per-cell scans",
-      {"query", "regime", "batched", "legacy", "speedup"});
+  PrintHeader("SelfJoin / EstimateL1 (calls/second)",
+              {"query", "regime", "rate"});
   Timestamp now = eh->Now();
-  auto sj_fast = [&](const Probe& p) {
+  auto sj = [&](const Probe& p) {
     return eh->InnerProductAt(*eh, p.range, p.now).value();
   };
-  auto sj_legacy = [&](const Probe& p) {
-    return LegacySelfJoin(*eh, p.range, p.now);
-  };
-  auto l1_fast = [&](const Probe& p) {
-    return eh->EstimateL1At(p.range, p.now);
-  };
-  auto l1_legacy = [&](const Probe& p) {
-    return LegacyL1(*eh, p.range, p.now);
-  };
-  AblationPair sj = MeasureAblation("query/selfjoin/ECM-EH", kQ / 40,
-                                    kQ / 1000, now, ProbeMode::kMonitoring,
-                                    sj_fast, sj_legacy);
-  PrintRow({"selfjoin", "monitoring", FormatDouble(sj.fast, 0),
-            FormatDouble(sj.legacy, 0),
-            FormatDouble(sj.legacy > 0 ? sj.fast / sj.legacy : 0.0, 2)});
-  AblationPair sjm = MeasureAblation("query/selfjoin-mixed/ECM-EH", kQ / 100,
-                                     kQ / 1000, now, ProbeMode::kMixed,
-                                     sj_fast, sj_legacy);
-  PrintRow({"selfjoin", "mixed", FormatDouble(sjm.fast, 0),
-            FormatDouble(sjm.legacy, 0),
-            FormatDouble(sjm.legacy > 0 ? sjm.fast / sjm.legacy : 0.0, 2)});
-  AblationPair l1 = MeasureAblation("query/l1/ECM-EH", kQ / 40, kQ / 1000,
-                                    now, ProbeMode::kMonitoring, l1_fast,
-                                    l1_legacy);
-  PrintRow({"estimate-l1", "monitoring", FormatDouble(l1.fast, 0),
-            FormatDouble(l1.legacy, 0),
-            FormatDouble(l1.legacy > 0 ? l1.fast / l1.legacy : 0.0, 2)});
-  AblationPair l1m = MeasureAblation("query/l1-mixed/ECM-EH", kQ / 100,
-                                     kQ / 1000, now, ProbeMode::kMixed,
-                                     l1_fast, l1_legacy);
-  PrintRow({"estimate-l1", "mixed", FormatDouble(l1m.fast, 0),
-            FormatDouble(l1m.legacy, 0),
-            FormatDouble(l1m.legacy > 0 ? l1m.fast / l1m.legacy : 0.0, 2)});
+  auto l1 = [&](const Probe& p) { return eh->EstimateL1At(p.range, p.now); };
+  PrintRow({"selfjoin", "monitoring",
+            FormatDouble(MeasureQueryRate("query/selfjoin/ECM-EH", kQ / 40,
+                                          now, ProbeMode::kMonitoring, sj),
+                         0)});
+  PrintRow({"selfjoin", "mixed",
+            FormatDouble(MeasureQueryRate("query/selfjoin-mixed/ECM-EH",
+                                          kQ / 100, now, ProbeMode::kMixed,
+                                          sj),
+                         0)});
+  PrintRow({"estimate-l1", "monitoring",
+            FormatDouble(MeasureQueryRate("query/l1/ECM-EH", kQ / 40, now,
+                                          ProbeMode::kMonitoring, l1),
+                         0)});
+  PrintRow({"estimate-l1", "mixed",
+            FormatDouble(MeasureQueryRate("query/l1-mixed/ECM-EH", kQ / 100,
+                                          now, ProbeMode::kMixed, l1),
+                         0)});
   // The memoized repeat-probe regime (same (now, range), e.g. the
   // ratio-threshold descent): effectively free after the first call.
   {
@@ -545,27 +396,21 @@ void Run() {
     }
     double rate = static_cast<double>(reps) / timer.ElapsedSeconds();
     RecordBenchResult("query/l1/ECM-EH/memoized", rate, 0.0);
-    PrintRow({"estimate-l1 (memoized)", FormatDouble(rate, 0), "-", "-"});
+    PrintRow({"estimate-l1", "memoized", FormatDouble(rate, 0)});
   }
 
   PrintHeader(
       "RandomizedWave::Estimate at ~10k retained samples/level "
       "(estimates/second)",
-      {"path", "rate", "speedup"});
-  AblationPair rwp = MeasureRwEstimate(kQ, kQ / 40);
-  PrintRow({"indexed", FormatDouble(rwp.fast, 0),
-            FormatDouble(rwp.legacy > 0 ? rwp.fast / rwp.legacy : 0.0, 2)});
-  PrintRow({"linear-scan", FormatDouble(rwp.legacy, 0), "1"});
+      {"path", "rate"});
+  PrintRow({"indexed", FormatDouble(MeasureRwEstimate(kQ), 0)});
 
-  PrintHeader(
-      "Dyadic heavy-hitter sweeps over 16-bit keys (sweeps/second)",
-      {"descent", "rate", "speedup"});
-  AblationPair hh = MeasureHeavyHitters(
-      events, std::max<size_t>(kQ / 2000, 4),
-      std::max<size_t>(kQ / 4000, 2));
-  PrintRow({"frontier-batched", FormatDouble(hh.fast, 2),
-            FormatDouble(hh.legacy > 0 ? hh.fast / hh.legacy : 0.0, 2)});
-  PrintRow({"per-node", FormatDouble(hh.legacy, 2), "1"});
+  PrintHeader("Dyadic heavy-hitter sweeps over 16-bit keys (sweeps/second)",
+              {"descent", "rate"});
+  PrintRow({"frontier-batched",
+            FormatDouble(MeasureHeavyHitters(
+                             events, std::max<size_t>(kQ / 2000, 4)),
+                         2)});
 
   std::printf("\n(sink %.3g)\n", g_sink);
 }

@@ -41,18 +41,6 @@
 
 namespace ecm {
 
-/// Which sweep PointQueryBatchAt runs over each sketch row.
-enum class BatchQueryMode : uint8_t {
-  /// Cost-model pick: bucket-sorted once the frontier is large enough to
-  /// amortize the per-row counting sort, scalar sweep below that. With
-  /// the row-major column matrix the sorted walk wins in both coverage
-  /// regimes (sequential counter access plus shared-column dedup), so
-  /// the cutover is on frontier size alone.
-  kAuto = 0,
-  kScalarSweep = 1,   ///< keys in caller order, one Estimate per (key, row)
-  kBucketSorted = 2,  ///< counting-sorted column walk, collisions deduped
-};
-
 /// Builds the per-counter configuration appropriate for each counter type
 /// from the sketch-level EcmConfig.
 template <SlidingWindowCounter Counter>
@@ -118,6 +106,10 @@ inline HybridHistogram::Config MakeCounterConfig<HybridHistogram>(
 template <SlidingWindowCounter Counter>
 class EcmSketch {
  public:
+  /// Batch size from which PointQueryBatchAt bucket-sorts each row's keys
+  /// instead of sweeping them in caller order.
+  static constexpr size_t kBatchBucketSortThreshold = 64;
+
   /// Builds a sketch from a fully-specified config (typically produced by
   /// EcmConfig::Create). Sketches that will be merged or compared must be
   /// built from compatible configs (same dimensions/seed/window/mode).
@@ -224,18 +216,17 @@ class EcmSketch {
   /// row-major — the access pattern the dyadic heavy-hitter frontier
   /// descent batches its sibling probes through.
   ///
-  /// `mode` picks the per-row sweep. kBucketSorted counting-sorts the
-  /// keys inside each row so counter accesses walk in ascending column
-  /// order (and column-colliding keys share one Estimate); kScalarSweep
-  /// visits keys in caller order with a look-ahead prefetch. kAuto
-  /// applies the cost model: sorted once the batch reaches
-  /// kBatchBucketSortThreshold keys — below that the counting sort's
-  /// fixed per-row cost outweighs its locality win. Per-key results are
-  /// bit-identical in every mode, because each estimate is independent
-  /// and the per-key min is order-free.
+  /// The batch size picks the per-row sweep. From
+  /// kBatchBucketSortThreshold keys on, the keys inside each row are
+  /// counting-sorted so counter accesses walk in ascending column order
+  /// and column-colliding keys share one Estimate; with the row-major
+  /// column matrix that wins at full and partial coverage alike. Smaller
+  /// batches visit keys in caller order with a look-ahead prefetch, since
+  /// the sort's fixed per-row cost outweighs its locality win there.
+  /// Per-key results are bit-identical either way: each estimate is
+  /// independent and the per-key min is order-free.
   void PointQueryBatchAt(const uint64_t* keys, size_t n, uint64_t range,
-                         Timestamp now, double* out,
-                         BatchQueryMode mode = BatchQueryMode::kAuto) const {
+                         Timestamp now, double* out) const {
     if (n == 0) return;
     const size_t depth = static_cast<size_t>(config_.depth);
     static thread_local std::vector<uint64_t> mixed;
@@ -245,10 +236,7 @@ class EcmSketch {
     HashFamily::Mix64Batch(keys, n, mixed.data());
     hashes_.BucketsRowMajor(mixed.data(), n, config_.width, cols.data());
     std::fill(out, out + n, std::numeric_limits<double>::infinity());
-    const bool bucketed =
-        mode == BatchQueryMode::kBucketSorted ||
-        (mode == BatchQueryMode::kAuto && n >= kBatchBucketSortThreshold);
-    if (!bucketed) {
+    if (n < kBatchBucketSortThreshold) {
       constexpr size_t kLookAhead = 8;
       for (size_t j = 0; j < depth; ++j) {
         const Counter* row = &counters_[j * config_.width];
@@ -284,14 +272,6 @@ class EcmSketch {
         out[k] = std::min(out[k], prev_est);
       }
     }
-  }
-
-  /// The arrival-order batched reference: per-row sweep over the keys in
-  /// caller order, one Estimate per (key, row). Kept as the ablation
-  /// baseline for the bucket-sorted path above (bit-identical output).
-  void PointQueryBatchScalarAt(const uint64_t* keys, size_t n, uint64_t range,
-                               Timestamp now, double* out) const {
-    PointQueryBatchAt(keys, n, range, now, out, BatchQueryMode::kScalarSweep);
   }
 
   /// Batched admission check for the keyed counter store: heavy_out[k] = 1
@@ -653,11 +633,6 @@ class EcmSketch {
     bool valid = false;
   };
   static constexpr size_t kL1CacheEntries = 8;
-
-  // Below this frontier size the batched point query runs the plain
-  // arrival-order sweep; the counting sort only pays off once the row
-  // walk stops fitting comfortably in cache.
-  static constexpr size_t kBatchBucketSortThreshold = 64;
 
   EcmConfig config_;
   HashFamily hashes_;

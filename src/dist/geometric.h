@@ -39,9 +39,9 @@
 //    estimate can change (Counter::NextEstimateChangeAt), the site keeps
 //    those events in a min-heap, and each arrival drains the events that
 //    came due before the sphere test — so the tracked vector equals the
-//    rebuilt one at every check, with no staleness window. Counter types
-//    without the NextEstimateChangeAt hook fall back to the legacy
-//    periodic full refresh every `refresh_every` ticks.
+//    rebuilt one at every check, with no staleness window. The monitors
+//    therefore accept only counters with that hook (ExpiryTrackedCounter:
+//    EH and RW).
 //  * kRebuild — the legacy reference: every check re-materializes the
 //    full statistics vector and recomputes the ball fresh. Kept for
 //    differential tests (dist_runtime_test.cc verifies both modes sync
@@ -111,25 +111,20 @@ struct GeometricMonitorConfig {
   double threshold = 0.0;    ///< alarm when the global f >= threshold
   uint64_t check_every = 1;  ///< sphere-test cadence, in per-site updates
   DriftTracking drift = DriftTracking::kIncremental;
-  /// Fallback staleness bound for counter types without the
-  /// NextEstimateChangeAt hook (0 = window_len / 4): ticks between full
-  /// refreshes of the incrementally tracked statistics vector. Counters
-  /// with the hook (EH, RW) are tracked exactly via the expiry-event
-  /// heap and never take the periodic refresh.
-  uint64_t refresh_every = 0;
 };
 
-namespace geom_internal {
-
-/// Counter types that can report the next clock value at which their
-/// estimate can change with no further arrivals. Monitors over such
-/// counters (EH, RW) track incremental drift exactly via the per-counter
-/// expiry-event heap; anything else keeps the periodic refresh fallback.
+/// Counters that can report the next clock value at which their estimate
+/// can change with no further arrivals (EH, RW). The geometric monitors
+/// track incremental drift exactly through the per-counter expiry-event
+/// heap, so they require this hook.
 template <typename C>
-concept HasNextEstimateChange =
+concept ExpiryTrackedCounter =
+    SlidingWindowCounter<C> &&
     requires(const C& c, Timestamp now, uint64_t range) {
       { c.NextEstimateChangeAt(now, range) } -> std::same_as<Timestamp>;
     };
+
+namespace geom_internal {
 
 /// Per-site state every monitor keeps; f-specific monitors may extend it
 /// with extra ball bookkeeping (the self-join monitor's per-row norms).
@@ -143,14 +138,13 @@ struct SiteStateBase {
   std::vector<double> v_sync;  ///< statistics vector at the last sync
   std::vector<double> v_cur;   ///< tracked current statistics vector
   double radius_sq = 0.0;      ///< ‖δ‖²
-  Timestamp last_refresh = 0;
   uint64_t updates = 0;        ///< arrivals (stats)
   uint64_t cadence_ticks = 0;  ///< arrivals since the initial sync
   uint64_t checks = 0;
   uint64_t violations = 0;
   /// Min-heap of pending estimate-change events (lazy deletion: an entry
-  /// is live iff it matches `scheduled` for its cell). Unused when the
-  /// counter lacks NextEstimateChangeAt or in kRebuild mode.
+  /// is live iff it matches `scheduled` for its cell). Unused in kRebuild
+  /// mode.
   std::priority_queue<ExpiryEvent, std::vector<ExpiryEvent>,
                       std::greater<ExpiryEvent>>
       expiry_heap;
@@ -170,7 +164,7 @@ struct SelfJoinSiteState : SiteStateBase<Counter> {
 
 /// CRTP base: the f-independent sync/cadence scaffolding (see the file
 /// comment for the four hooks a derived monitor implements).
-template <typename Derived, SlidingWindowCounter Counter, typename SiteState>
+template <typename Derived, ExpiryTrackedCounter Counter, typename SiteState>
 class GeometricMonitorBase {
  public:
   /// Routes one arrival to `site` and runs the local sphere test on its
@@ -191,27 +185,15 @@ class GeometricMonitorBase {
     ++st.updates;
     if (!synced_once_) return true;  // initial sync still outstanding
     if (config_.drift == DriftTracking::kIncremental) {
-      if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-        // Replay every estimate-change event the clock has passed before
-        // folding in this arrival, so untouched entries are exact too.
-        DrainExpiryEvents(&st);
-      }
+      // Replay every estimate-change event the clock has passed before
+      // folding in this arrival, so untouched entries are exact too.
+      DrainExpiryEvents(&st);
       derived().UpdateDrift(&st, key);
     }
     const uint64_t cadence = std::max<uint64_t>(config_.check_every, 1);
     if (++st.cadence_ticks % cadence != 0) return false;
     ++st.checks;
-    if (config_.drift == DriftTracking::kRebuild) {
-      derived().RefreshVector(&st);
-    } else {
-      if constexpr (!geom_internal::HasNextEstimateChange<Counter>) {
-        // No expiry events available for this counter type: bound the
-        // staleness from window expiry by the periodic full refresh.
-        if (st.node.sketch().Now() - st.last_refresh >= refresh_period_) {
-          derived().RefreshVector(&st);
-        }
-      }
-    }
+    if (config_.drift == DriftTracking::kRebuild) derived().RefreshVector(&st);
     if (!derived().SphereViolation(st)) return false;
     ++st.violations;
     return true;
@@ -291,10 +273,6 @@ class GeometricMonitorBase {
       owned_transport_ = std::make_unique<LoopbackTransport>();
       transport_ = owned_transport_.get();
     }
-    refresh_period_ =
-        config_.refresh_every
-            ? config_.refresh_every
-            : std::max<uint64_t>(sketch_config_.window_len / 4, 1);
   }
 
   ~GeometricMonitorBase() = default;
@@ -304,7 +282,7 @@ class GeometricMonitorBase {
     return static_cast<const Derived&>(*this);
   }
 
-  // --- per-counter expiry-event heap (kIncremental, hook-aware counters) --
+  // --- per-counter expiry-event heap (kIncremental) ----------------------
   //
   // Every cell of the tracked statistics vector is backed by one counter;
   // its estimate moves either when an arrival touches it (UpdateDrift
@@ -343,17 +321,14 @@ class GeometricMonitorBase {
   /// Re-seeds the full schedule from scratch (after a sync refresh, when
   /// every cell was just re-evaluated exactly).
   void RebuildExpirySchedule(SiteState* st) {
-    if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-      st->expiry_heap = {};
-      std::fill(st->scheduled.begin(), st->scheduled.end(), 0);
-      const Timestamp now = st->node.sketch().Now();
-      for (size_t k = 0; k < dim_; ++k) {
-        ScheduleCell(st, static_cast<uint32_t>(k),
-                     derived()
-                         .CellCounter(*st, static_cast<uint32_t>(k))
-                         .NextEstimateChangeAt(now,
-                                               sketch_config_.window_len));
-      }
+    st->expiry_heap = {};
+    std::fill(st->scheduled.begin(), st->scheduled.end(), 0);
+    const Timestamp now = st->node.sketch().Now();
+    for (size_t k = 0; k < dim_; ++k) {
+      ScheduleCell(st, static_cast<uint32_t>(k),
+                   derived()
+                       .CellCounter(*st, static_cast<uint32_t>(k))
+                       .NextEstimateChangeAt(now, sketch_config_.window_len));
     }
   }
 
@@ -362,7 +337,6 @@ class GeometricMonitorBase {
   Transport* transport_;
   std::unique_ptr<Transport> owned_transport_;
   size_t dim_;
-  uint64_t refresh_period_;
   std::vector<SiteState> sites_;
   std::vector<double> e_avg_;  ///< global average at last sync
   double estimate_ = 0.0;
@@ -372,7 +346,7 @@ class GeometricMonitorBase {
 };
 
 /// Threshold monitor for the global sliding-window self-join size F₂.
-template <SlidingWindowCounter Counter>
+template <ExpiryTrackedCounter Counter>
 class GeometricSelfJoinMonitorT
     : public GeometricMonitorBase<GeometricSelfJoinMonitorT<Counter>, Counter,
                                   geom_internal::SelfJoinSiteState<Counter>> {
@@ -411,14 +385,12 @@ class GeometricSelfJoinMonitorT
     const uint32_t width = this->sketch_config_.width;
     for (int j = 0; j < this->sketch_config_.depth; ++j) {
       const size_t k = static_cast<size_t>(j) * width + cols[j];
-      if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-        // The arrival changed this counter's content, so its pending
-        // expiry event may be stale — reschedule even if the estimate
-        // value happens to be unchanged right now.
-        this->ScheduleCell(st, static_cast<uint32_t>(k),
-                           sk.CounterAt(j, cols[j]).NextEstimateChangeAt(
-                               now, this->sketch_config_.window_len));
-      }
+      // The arrival changed this counter's content, so its pending
+      // expiry event may be stale — reschedule even if the estimate
+      // value happens to be unchanged right now.
+      this->ScheduleCell(st, static_cast<uint32_t>(k),
+                         sk.CounterAt(j, cols[j]).NextEstimateChangeAt(
+                             now, this->sketch_config_.window_len));
       const double new_v = ests[j];
       const double old_v = st->v_cur[k];
       if (new_v == old_v) continue;
@@ -460,15 +432,12 @@ class GeometricSelfJoinMonitorT
       st->row_sq[static_cast<size_t>(row)] += new_c * new_c - old_c * old_c;
       st->v_cur[cell] = new_v;
     }
-    if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-      this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
-    }
+    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
   }
 
   /// Full O(w·d) re-materialization of the site's statistics vector and
-  /// exact recomputation of the ball quantities — the rebuild reference,
-  /// the incremental mode's periodic staleness refresh, and the sync
-  /// collection path.
+  /// exact recomputation of the ball quantities — the rebuild reference
+  /// and the sync collection path.
   void RefreshVector(SiteState* st) const {
     const EcmSketch<Counter>& sk = st->node.sketch();
     const Timestamp now = sk.Now();
@@ -493,7 +462,6 @@ class GeometricSelfJoinMonitorT
       }
       st->row_sq[static_cast<size_t>(row)] = norm_sq;
     }
-    st->last_refresh = now;
   }
 
   /// O(d) sphere test from the maintained ball quantities: f over the
@@ -539,7 +507,7 @@ class GeometricSelfJoinMonitorT
 /// Threshold monitor for one key's global sliding-window count — the
 /// distributed-trigger ("DDoS victim") scenario. Syncs ship only the d
 /// per-row estimates of the watched key, so they cost 2·n·d doubles each.
-template <SlidingWindowCounter Counter>
+template <ExpiryTrackedCounter Counter>
 class GeometricPointMonitorT
     : public GeometricMonitorBase<GeometricPointMonitorT<Counter>, Counter,
                                   geom_internal::SiteStateBase<Counter>> {
@@ -582,11 +550,9 @@ class GeometricPointMonitorT
     for (int j = 0; j < this->sketch_config_.depth; ++j) {
       if (cols[j] != watched_cols_[j]) continue;
       const Counter& c = sk.CounterAt(j, watched_cols_[j]);
-      if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-        this->ScheduleCell(
-            st, static_cast<uint32_t>(j),
-            c.NextEstimateChangeAt(now, this->sketch_config_.window_len));
-      }
+      this->ScheduleCell(
+          st, static_cast<uint32_t>(j),
+          c.NextEstimateChangeAt(now, this->sketch_config_.window_len));
       const double new_v = c.Estimate(now, this->sketch_config_.window_len);
       const size_t k = static_cast<size_t>(j);
       const double old_v = st->v_cur[k];
@@ -620,9 +586,7 @@ class GeometricPointMonitorT
       st->radius_sq += new_d * new_d - old_d * old_d;
       st->v_cur[cell] = new_v;
     }
-    if constexpr (geom_internal::HasNextEstimateChange<Counter>) {
-      this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
-    }
+    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
   }
 
   void RefreshVector(SiteState* st) const {
@@ -636,7 +600,6 @@ class GeometricPointMonitorT
       radius_sq += drift * drift;
     }
     st->radius_sq = radius_sq;
-    st->last_refresh = now;
   }
 
   /// f = min_j is 1-Lipschitz: over the ball it stays within ±r of

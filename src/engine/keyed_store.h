@@ -208,7 +208,7 @@ class ExpiryWheel {
 
 /// Configuration of the keyed counter store.
 struct KeyedStoreConfig {
-  double epsilon = 0.01;      ///< per-key EH accuracy (>= ~1/500, slab bound)
+  double epsilon = 0.01;      ///< per-key EH accuracy (>= 1/508, slab bound)
   uint64_t window_len = 100;  ///< sliding-window length in ticks
   /// Hot-set budget: maximum resident keys (0 = unbounded). Admission
   /// beyond the budget is refused until evictions free room.

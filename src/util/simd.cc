@@ -8,20 +8,11 @@ namespace ecm {
 
 namespace {
 
-#if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kIsX64 = true;
-#else
-constexpr bool kIsX64 = false;
-#endif
-
 SimdLevel ProbeCpu() {
 #if defined(__x86_64__) || defined(_M_X64)
-  // SSE2 is part of the x86-64 baseline; only AVX2 needs a probe.
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAVX2;
-  return SimdLevel::kSSE2;
-#else
-  return SimdLevel::kScalar;
 #endif
+  return SimdLevel::kScalar;
 }
 
 // -1 = no override; otherwise the forced SimdLevel. Relaxed atomics: the
@@ -51,10 +42,7 @@ SimdLevel DetectedSimdLevel() {
 }
 
 bool SimdLevelSupported(SimdLevel level) {
-  if (level == SimdLevel::kScalar) return true;
-  if (!kIsX64) return false;
-  return static_cast<uint8_t>(level) <=
-         static_cast<uint8_t>(DetectedSimdLevel());
+  return level == SimdLevel::kScalar || level == DetectedSimdLevel();
 }
 
 SimdLevel ActiveSimdLevel() {
@@ -62,12 +50,7 @@ SimdLevel ActiveSimdLevel() {
   if (forced >= 0) return static_cast<SimdLevel>(forced);
   int env = EnvLevel();
   if (env >= 0) return static_cast<SimdLevel>(env);
-  SimdLevel detected = DetectedSimdLevel();
-  // Auto mode only steps up to AVX2. Scalar x86-64 has a single-instruction
-  // 64x64->128 multiply, which the 2-lane SSE2 emulation (3x pmuludq plus
-  // shifts per product) measurably loses to; the SSE2 tier is kept as a
-  // correctness rung and stays selectable via ECM_SIMD / ForceSimdLevel.
-  return detected == SimdLevel::kAVX2 ? SimdLevel::kAVX2 : SimdLevel::kScalar;
+  return DetectedSimdLevel();
 }
 
 bool ForceSimdLevel(SimdLevel level) {
@@ -82,8 +65,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSSE2:
-      return "sse2";
     case SimdLevel::kAVX2:
       return "avx2";
   }
@@ -94,10 +75,6 @@ bool ParseSimdLevel(const char* name, SimdLevel* out) {
   if (name == nullptr || out == nullptr) return false;
   if (std::strcmp(name, "scalar") == 0) {
     *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse2") == 0) {
-    *out = SimdLevel::kSSE2;
     return true;
   }
   if (std::strcmp(name, "avx2") == 0) {

@@ -10,9 +10,11 @@
 // Every vector kernel has a scalar twin that is bit-identical (the hash
 // arithmetic is exact integer math), so forcing a tier — via
 // ForceSimdLevel() or the ECM_SIMD environment variable — changes speed,
-// never results. Tests run the full matrix (forced-scalar, forced-SSE2,
-// forced-AVX2, auto) against the scalar reference; benches force tiers to
-// record ablation rows.
+// never results. Tests run the full matrix (forced-scalar, forced-AVX2,
+// auto) against the scalar reference; benches force tiers to record
+// ablation rows. Auto dispatch picks AVX2 where the CPU has it, else the
+// scalar loops (x86-64's one-instruction 64x64->128 multiply beats a
+// 2-lane SSE2 emulation, so no tier sits in between).
 
 #ifndef ECM_UTIL_SIMD_H_
 #define ECM_UTIL_SIMD_H_
@@ -22,13 +24,11 @@
 namespace ecm {
 
 /// Instruction-set tiers the hand-written kernels exist for, in strictly
-/// increasing capability order. kSSE2 is the x86-64 baseline (always
-/// available there); kAVX2 requires a cpuid probe; non-x86 builds detect
-/// kScalar.
+/// increasing capability order. kAVX2 requires a cpuid probe; non-x86
+/// builds detect kScalar.
 enum class SimdLevel : uint8_t {
   kScalar = 0,
-  kSSE2 = 1,
-  kAVX2 = 2,
+  kAVX2 = 1,
 };
 
 /// Highest tier this CPU supports (cpuid, probed once and cached).
@@ -38,7 +38,7 @@ SimdLevel DetectedSimdLevel();
 bool SimdLevelSupported(SimdLevel level);
 
 /// The tier kernels dispatch to: a ForceSimdLevel() override if one is
-/// set, else the ECM_SIMD environment variable ("scalar" / "sse2" /
+/// set, else the ECM_SIMD environment variable ("scalar" /
 /// "avx2"; "auto" or unset defers), else DetectedSimdLevel().
 SimdLevel ActiveSimdLevel();
 
@@ -49,11 +49,11 @@ bool ForceSimdLevel(SimdLevel level);
 /// Clears a ForceSimdLevel() override (back to ECM_SIMD / detection).
 void ResetSimdLevel();
 
-/// "scalar" / "sse2" / "avx2" (stable, matches the ECM_SIMD spellings).
+/// "scalar" / "avx2" (stable, matches the ECM_SIMD spellings).
 const char* SimdLevelName(SimdLevel level);
 
 /// Parses an ECM_SIMD-style spelling. Returns true and sets *out for the
-/// three tier names; returns false for "auto", empty, or garbage (callers
+/// two tier names; returns false for "auto", empty, or garbage (callers
 /// treat that as "no override").
 bool ParseSimdLevel(const char* name, SimdLevel* out);
 

@@ -63,118 +63,6 @@ void BucketsRowScalar(uint64_t a, uint64_t b, const uint64_t* mixed, size_t n,
 // every tier returns the scalar path's exact representative.
 // ---------------------------------------------------------------------------
 
-// --- SSE2 tier (x86-64 baseline; 2 lanes) ---------------------------------
-
-// Signed 64-bit a > b without SSE4.2's pcmpgtq: high dwords compare
-// signed; on high-dword equality the sign of the 64-bit difference b-a
-// decides (no overflow — equal highs bound |a-b| < 2^32). All inputs here
-// are < 2^62, so signed order is unsigned order.
-inline __m128i CmpGt64Sse2(__m128i a, __m128i b) {
-  __m128i eq_sel = _mm_and_si128(_mm_cmpeq_epi32(a, b), _mm_sub_epi64(b, a));
-  __m128i gt = _mm_or_si128(eq_sel, _mm_cmpgt_epi32(a, b));
-  return _mm_shuffle_epi32(gt, _MM_SHUFFLE(3, 3, 1, 1));
-}
-
-// x - M61 where x >= M61, else x (x < 2^62).
-inline __m128i CondSubM61Sse2(__m128i x) {
-  const __m128i m61 = _mm_set1_epi64x(static_cast<int64_t>(kM61));
-  const __m128i m61m1 = _mm_set1_epi64x(static_cast<int64_t>(kM61 - 1));
-  __m128i over = CmpGt64Sse2(x, m61m1);
-  return _mm_sub_epi64(x, _mm_and_si128(over, m61));
-}
-
-// Two buckets per call: FastRange(RawMixed(a, b, m), width) per lane.
-inline __m128i BucketLanesSse2(__m128i a, __m128i b, __m128i m,
-                               __m128i widthv) {
-  const __m128i mask32 = _mm_set1_epi64x(0xFFFFFFFFLL);
-  const __m128i m61 = _mm_set1_epi64x(static_cast<int64_t>(kM61));
-  __m128i a_hi = _mm_srli_epi64(a, 32);
-  __m128i m_hi = _mm_srli_epi64(m, 32);
-  __m128i ll = _mm_mul_epu32(a, m);
-  __m128i lh = _mm_mul_epu32(a, m_hi);
-  __m128i hl = _mm_mul_epu32(a_hi, m);
-  __m128i hh = _mm_mul_epu32(a_hi, m_hi);
-  __m128i mid = _mm_add_epi64(_mm_add_epi64(_mm_srli_epi64(ll, 32),
-                                            _mm_and_si128(lh, mask32)),
-                              _mm_and_si128(hl, mask32));
-  __m128i lo = _mm_or_si128(_mm_and_si128(ll, mask32), _mm_slli_epi64(mid, 32));
-  __m128i hi = _mm_add_epi64(
-      _mm_add_epi64(hh, _mm_srli_epi64(lh, 32)),
-      _mm_add_epi64(_mm_srli_epi64(hl, 32), _mm_srli_epi64(mid, 32)));
-  __m128i x0 = _mm_and_si128(lo, m61);
-  __m128i x1 = _mm_and_si128(
-      _mm_or_si128(_mm_srli_epi64(lo, 61), _mm_slli_epi64(hi, 3)), m61);
-  __m128i x2 = _mm_srli_epi64(hi, 58);
-  __m128i s = _mm_add_epi64(_mm_add_epi64(x0, x1), x2);
-  __m128i t = _mm_add_epi64(_mm_and_si128(s, m61), _mm_srli_epi64(s, 61));
-  t = CondSubM61Sse2(t);
-  __m128i v = CondSubM61Sse2(_mm_add_epi64(t, b));
-  // Lemire fast range on the hash's high 32 bits: ((v >> 29) * width) >> 32.
-  return _mm_srli_epi64(_mm_mul_epu32(_mm_srli_epi64(v, 29), widthv), 32);
-}
-
-// Stores the two lane results (each < 2^32) as consecutive uint32.
-inline void Store2Lanes(__m128i buckets, uint32_t* out) {
-  __m128i packed = _mm_shuffle_epi32(buckets, _MM_SHUFFLE(3, 3, 2, 0));
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(out), packed);
-}
-
-// 64-bit lane low multiply by a broadcast constant (SSE2 has no pmullq).
-inline __m128i MulLo64Sse2(__m128i x, __m128i c) {
-  __m128i lo = _mm_mul_epu32(x, c);
-  __m128i h1 = _mm_mul_epu32(_mm_srli_epi64(x, 32), c);
-  __m128i h2 = _mm_mul_epu32(x, _mm_srli_epi64(c, 32));
-  return _mm_add_epi64(lo, _mm_slli_epi64(_mm_add_epi64(h1, h2), 32));
-}
-
-inline __m128i Mix64LanesSse2(__m128i x) {
-  const __m128i c1 =
-      _mm_set1_epi64x(static_cast<int64_t>(0x9E3779B97F4A7C15ULL));
-  const __m128i c2 =
-      _mm_set1_epi64x(static_cast<int64_t>(0xBF58476D1CE4E5B9ULL));
-  const __m128i c3 =
-      _mm_set1_epi64x(static_cast<int64_t>(0x94D049BB133111EBULL));
-  x = _mm_add_epi64(x, c1);
-  x = MulLo64Sse2(_mm_xor_si128(x, _mm_srli_epi64(x, 30)), c2);
-  x = MulLo64Sse2(_mm_xor_si128(x, _mm_srli_epi64(x, 27)), c3);
-  return _mm_xor_si128(x, _mm_srli_epi64(x, 31));
-}
-
-void Mix64BatchSse2(const uint64_t* keys, size_t n, uint64_t* out) {
-  size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + k));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k), Mix64LanesSse2(x));
-  }
-  for (; k < n; ++k) out[k] = Mix64(keys[k]);
-}
-
-void BucketsMixedSse2(const uint64_t* a, const uint64_t* b, size_t d,
-                      uint64_t mixed, uint32_t width, uint32_t* out) {
-  const __m128i m = _mm_set1_epi64x(static_cast<int64_t>(mixed));
-  const __m128i widthv = _mm_set1_epi64x(static_cast<int64_t>(width));
-  size_t j = 0;
-  for (; j + 2 <= d; j += 2) {
-    __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + j));
-    __m128i bv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    Store2Lanes(BucketLanesSse2(av, bv, m, widthv), out + j);
-  }
-  if (j < d) out[j] = ScalarBucket(a[j], b[j], mixed, width);
-}
-
-void BucketsRowSse2(uint64_t a, uint64_t b, const uint64_t* mixed, size_t n,
-                    uint32_t width, uint32_t* out) {
-  const __m128i av = _mm_set1_epi64x(static_cast<int64_t>(a));
-  const __m128i bv = _mm_set1_epi64x(static_cast<int64_t>(b));
-  const __m128i widthv = _mm_set1_epi64x(static_cast<int64_t>(width));
-  size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    __m128i m = _mm_loadu_si128(reinterpret_cast<const __m128i*>(mixed + k));
-    Store2Lanes(BucketLanesSse2(av, bv, m, widthv), out + k);
-  }
-  for (; k < n; ++k) out[k] = ScalarBucket(a, b, mixed[k], width);
-}
-
 // --- AVX2 tier (4 lanes; requires the runtime cpuid probe) ----------------
 
 __attribute__((target("avx2"))) inline __m256i CondSubM61Avx2(__m256i x) {
@@ -329,8 +217,6 @@ __attribute__((target("avx2"))) void BucketsRowAvx2(uint64_t a, uint64_t b,
 constexpr HashKernels kScalarKernels = {Mix64BatchScalar, BucketsMixedScalar,
                                         BucketsRowScalar};
 #if ECM_SIMD_X64
-constexpr HashKernels kSse2Kernels = {Mix64BatchSse2, BucketsMixedSse2,
-                                      BucketsRowSse2};
 constexpr HashKernels kAvx2Kernels = {Mix64BatchAvx2, BucketsMixedAvx2,
                                       BucketsRowAvx2};
 #endif
@@ -342,8 +228,6 @@ const HashKernels& HashKernelsFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAVX2:
       return kAvx2Kernels;
-    case SimdLevel::kSSE2:
-      return kSse2Kernels;
     case SimdLevel::kScalar:
       return kScalarKernels;
   }

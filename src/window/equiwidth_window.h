@@ -11,8 +11,8 @@
 // (bench_ablation_equiwidth) measures exactly this failure mode against
 // ECM-EH at matched memory.
 //
-// EquiWidthWindow satisfies SlidingWindowCounter; the baseline sketch
-// EcmSketch<EquiWidthWindow> lives in core/equiwidth_cm.h.
+// EquiWidthWindow satisfies SlidingWindowCounter, so the baseline sketch
+// is EcmSketch<EquiWidthWindow>.
 
 #ifndef ECM_WINDOW_EQUIWIDTH_WINDOW_H_
 #define ECM_WINDOW_EQUIWIDTH_WINDOW_H_

@@ -2,26 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
+
+#include "src/window/eh_arithmetic.h"
 
 namespace ecm {
 
 ExponentialHistogram::ExponentialHistogram(const Config& config)
-    : epsilon_(config.epsilon), window_len_(config.window_len) {
+    : epsilon_(config.epsilon),
+      window_len_(config.window_len),
+      level_capacity_(EhLevelCapacity(config.epsilon)) {
   assert(epsilon_ > 0.0 && epsilon_ <= 1.0);
   assert(window_len_ > 0);
-  // k = ceil(1/eps). Keeping up to k+1 buckets per level (merging the two
-  // oldest when a level reaches k+2) retains at least k buckets per level
-  // below the top one, which yields invariant 1 of the paper for every
-  // bucket of size >= 2:  C_j <= 2*eps*(1 + sum of more recent sizes).
-  // Clamped before the float->int cast (tiny epsilons from hostile bytes
-  // must not overflow into UB); the clamp also keeps ring arithmetic in
-  // 32 bits.
-  double k = std::ceil(1.0 / epsilon_);
-  if (!(k >= 1.0)) k = 1.0;
-  if (k > 1e9) k = 1e9;
-  level_capacity_ = static_cast<size_t>(k) + 2;
 }
 
 void ExponentialHistogram::Grow(size_t level) {
@@ -59,72 +51,28 @@ void ExponentialHistogram::AddOne(Timestamp ts) {
   }
 }
 
-void ExponentialHistogram::AddBatch(Timestamp ts, uint64_t count) {
-  // Closed-form, level-by-level propagation of the unit-insert cascade.
-  // The incoming buckets of the current level are `expl` — explicit end
-  // timestamps emitted by merges of pre-existing buckets one level below,
-  // oldest first — followed by a run of `ts_run` buckets all ending at
-  // `ts`. The final state is exactly what `count` sequential AddOne calls
-  // would leave behind, at O(log(count) + level_capacity_) bucket ops.
-  //
-  // Reused thread-local scratch keeps the weighted path allocation-free
-  // after warm-up (sizes are bounded by level_capacity_; a histogram is
-  // not shared across threads anyway).
-  static thread_local std::vector<Timestamp> expl, next_expl;
-  expl.clear();
-  uint64_t ts_run = count;
-  int64_t bucket_delta = 0;
-  for (size_t i = 0; ts_run + expl.size() > 0; ++i) {
-    EnsureLevel(i);
-    const uint64_t c = level_capacity_;
-    const uint64_t m = level_count_[i];
-    const uint64_t k = expl.size() + ts_run;
-    // Merges the unit cascade performs here: the first fires once the
-    // level fills to c, then one more per two further appends.
-    const uint64_t merges = (k >= c - m) ? 1 + (k - (c - m)) / 2 : 0;
-    bucket_delta +=
-        static_cast<int64_t>(k) - 2 * static_cast<int64_t>(merges);
-    if (merges == 0) {
-      for (Timestamp e : expl) PushBack(i, Bucket{e});
-      for (uint64_t j = 0; j < ts_run; ++j) PushBack(i, Bucket{ts});
-      break;
-    }
-    // Merge j (1-based) coalesces elements 2j-1 and 2j of the oldest-first
-    // sequence [existing buckets, expl, ts-run] and emits a bucket ending
-    // at element 2j into the next level; once 2j lands in the ts-run every
-    // remaining merge emits `ts`.
-    next_expl.clear();
-    uint64_t next_ts_run = 0;
-    for (uint64_t j = 1; j <= merges; ++j) {
-      const uint64_t p = 2 * j;
-      if (p <= m) {
-        next_expl.push_back(At(i, static_cast<uint32_t>(p - 1)).end);
-      } else if (p <= m + expl.size()) {
-        next_expl.push_back(expl[p - m - 1]);
-      } else {
-        next_ts_run = merges - j + 1;
-        break;
-      }
-    }
-    // Consume the merged prefix: drop min(2*merges, m) existing buckets,
-    // then skip the first (2*merges - m) incoming ones (which the unit
-    // cascade would have appended and immediately merged away), and append
-    // what survives.
-    const uint64_t consumed_existing = std::min(2 * merges, m);
-    for (uint64_t j = 0; j < consumed_existing; ++j) PopFront(i);
-    const uint64_t dropped_in = 2 * merges - consumed_existing;
-    const uint64_t dropped_expl = std::min<uint64_t>(dropped_in, expl.size());
-    for (size_t x = dropped_expl; x < expl.size(); ++x) {
-      PushBack(i, Bucket{expl[x]});
-    }
-    for (uint64_t x = dropped_in - dropped_expl; x < ts_run; ++x) {
-      PushBack(i, Bucket{ts});
-    }
-    expl.swap(next_expl);
-    ts_run = next_ts_run;
+// The ring layout's view of its levels for the shared weighted cascade
+// (window/eh_arithmetic.h).
+struct ExponentialHistogram::RingLevels {
+  ExponentialHistogram* eh;
+  uint64_t Count(size_t i) {
+    eh->EnsureLevel(i);
+    return eh->level_count_[i];
   }
-  num_buckets_ =
-      static_cast<size_t>(static_cast<int64_t>(num_buckets_) + bucket_delta);
+  Timestamp End(size_t i, uint64_t pos) const {
+    return eh->At(i, static_cast<uint32_t>(pos)).end;
+  }
+  void PopFront(size_t i, uint64_t n) {
+    while (n-- > 0) eh->PopFront(i);
+  }
+  void PushBack(size_t i, Timestamp end) { eh->PushBack(i, Bucket{end}); }
+};
+
+void ExponentialHistogram::AddBatch(Timestamp ts, uint64_t count) {
+  RingLevels levels{this};
+  num_buckets_ = static_cast<size_t>(
+      static_cast<int64_t>(num_buckets_) +
+      EhCascadeAdd(levels, level_capacity_, ts, count));
 }
 
 void ExponentialHistogram::Add(Timestamp ts, uint64_t count) {
@@ -186,8 +134,8 @@ double ExponentialHistogram::Estimate(Timestamp now, uint64_t range) const {
   // bucket is in range. One binary search inside that level finds the
   // oldest in-range bucket; every lower level contributes its whole
   // weight off the directory without touching bucket storage. In-range
-  // weight accumulates in integers, so the result is bit-identical to
-  // the per-level scan (EstimateScanReference) for masses below 2^53.
+  // weight accumulates in integers, so the result is bit-identical to a
+  // bucket-by-bucket scan for masses below 2^53.
   uint64_t weight = 0;
   double straddle = 0.0;
   for (size_t i = top_level_ + 1; i-- > 0;) {
@@ -263,51 +211,6 @@ Timestamp ExponentialHistogram::NextEstimateChangeAt(Timestamp now,
   }
   if (candidate == std::numeric_limits<uint64_t>::max()) return 0;
   return candidate + range;
-}
-
-double ExponentialHistogram::EstimateScanReference(Timestamp now,
-                                                   uint64_t range) const {
-  assert(now >= last_ts_);
-  if (range > window_len_) range = window_len_;
-  Timestamp boundary = WindowStart(now, range);
-
-  // The pre-PR4 query path: every level binary-searched independently,
-  // partial sums accumulated in doubles top-down.
-  double sum = 0.0;
-  bool first_included = true;
-  for (size_t i = NumLevels(); i-- > 0;) {
-    const uint32_t n = level_count_[i];
-    if (n == 0 || At(i, n - 1).end <= boundary) continue;
-    uint32_t lo = 0, hi = n;
-    while (lo < hi) {
-      uint32_t mid = lo + (hi - lo) / 2;
-      if (At(i, mid).end <= boundary) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    double size = static_cast<double>(1ULL << i);
-    sum += size * static_cast<double>(n - lo);
-    if (first_included) {
-      Timestamp prev_end = expired_end_;
-      if (lo > 0) {
-        prev_end = At(i, lo - 1).end;
-      } else {
-        for (size_t j = i + 1; j < NumLevels(); ++j) {
-          if (level_count_[j] > 0) {
-            prev_end = At(j, level_count_[j] - 1).end;
-            break;
-          }
-        }
-      }
-      bool fully_inside =
-          boundary == 0 || prev_end > boundary || prev_end >= At(i, lo).end;
-      if (!fully_inside) sum -= size / 2.0;
-      first_included = false;
-    }
-  }
-  return sum;
 }
 
 size_t ExponentialHistogram::AllocatedSlots() const {

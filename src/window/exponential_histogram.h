@@ -86,13 +86,6 @@ class ExponentialHistogram {
   /// without touching bucket storage.
   double Estimate(Timestamp now, uint64_t range) const;
 
-  /// Pre-PR4 reference implementation of Estimate: the per-level scan
-  /// that binary-searches every level's ring independently. Bit-identical
-  /// to Estimate() for in-window masses below 2^53 (both paths then sum
-  /// exactly representable doubles) — kept as the differential-test
-  /// oracle and the bench ablation baseline.
-  double EstimateScanReference(Timestamp now, uint64_t range) const;
-
   /// Estimate over the full window length.
   double EstimateWindow(Timestamp now) const {
     return Estimate(now, window_len());
@@ -221,12 +214,13 @@ class ExponentialHistogram {
   // Inserts a single 1-bit at `ts` and cascades merges (unit fast path).
   void AddOne(Timestamp ts);
   // Inserts `count` 1-bits at `ts` by closed-form cascade propagation.
+  struct RingLevels;
   void AddBatch(Timestamp ts, uint64_t count);
 
   double epsilon_;
   uint64_t window_len_;
-  // Maximum buckets allowed per level before the two oldest merge:
-  // ceil(1/eps)/2 + 2 (Datar et al. invariant with k = ceil(1/eps)).
+  // Maximum buckets allowed per level before the two oldest merge
+  // (EhLevelCapacity).
   size_t level_capacity_;
 
   std::vector<uint32_t> level_head_;

@@ -3,7 +3,7 @@
 // recent arrivals backed by an equi-width histogram over the older part
 // of the window.
 //
-// Like the pure equi-width counter (core/equiwidth_cm.h), the hybrid
+// Like the pure equi-width counter (equiwidth_window.h), the hybrid
 // gives NO bounded relative error once a query boundary falls into the
 // equi-width region — but it is *exact* for short trailing ranges, which
 // is precisely the regime its paper targets. We implement it so the
@@ -11,8 +11,8 @@
 // hybrid wins on very recent ranges, loses its guarantees on older ones,
 // and cannot be merged.
 //
-// Satisfies SlidingWindowCounter; the EcmSketch<HybridHistogram> baseline
-// sketch type lives in core/equiwidth_cm.h.
+// Satisfies SlidingWindowCounter, so the baseline sketch is
+// EcmSketch<HybridHistogram>.
 
 #ifndef ECM_WINDOW_HYBRID_HISTOGRAM_H_
 #define ECM_WINDOW_HYBRID_HISTOGRAM_H_

@@ -190,36 +190,6 @@ Timestamp RandomizedWave::NextEstimateChangeAt(Timestamp now,
   return candidate + range;
 }
 
-double RandomizedWave::EstimateScanReference(Timestamp now,
-                                             uint64_t range) const {
-  assert(now >= last_ts_);
-  uint64_t clamped = range > window_len_ ? window_len_ : range;
-  Timestamp boundary = WindowStart(now, clamped);
-  std::vector<double> ests;
-  ests.reserve(subwaves_.size());
-  for (const SubWave& sw : subwaves_) {
-    double est = static_cast<double>(sw.sizes[num_levels_ - 1]) *
-                 static_cast<double>(1ULL << (num_levels_ - 1));
-    for (int l = 0; l < num_levels_; ++l) {
-      const auto& level = sw.levels[l];
-      bool covers =
-          !sw.truncated[l] || (!level.empty() && level.front().ts <= boundary);
-      if (!covers) continue;
-      auto it = std::partition_point(
-          level.begin(), level.end(),
-          [boundary](const Sample& s) { return s.ts <= boundary; });
-      uint64_t in_range = 0;
-      for (; it != level.end(); ++it) in_range += it->count;
-      est = static_cast<double>(in_range) * static_cast<double>(1ULL << l);
-      break;
-    }
-    ests.push_back(est);
-  }
-  auto mid = ests.begin() + ests.size() / 2;
-  std::nth_element(ests.begin(), mid, ests.end());
-  return *mid;
-}
-
 size_t RandomizedWave::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   for (const auto& sw : subwaves_) {

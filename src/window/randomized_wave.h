@@ -76,12 +76,6 @@ class RandomizedWave {
   /// (Sample::cum) instead of walking the run suffix.
   double Estimate(Timestamp now, uint64_t range) const;
 
-  /// Pre-PR4 reference implementation of Estimate: identical level
-  /// selection, but the in-range sample count is accumulated by a linear
-  /// walk over the run suffix. Bit-identical to Estimate() — kept as the
-  /// differential-test oracle and the bench ablation baseline.
-  double EstimateScanReference(Timestamp now, uint64_t range) const;
-
   /// Earliest clock value strictly after `now` at which Estimate(·, range)
   /// can differ from its value at `now`, assuming no further Adds; 0 when
   /// it can never change again. Conservative (may fire when the median

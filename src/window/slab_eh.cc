@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+
+#include "src/window/eh_arithmetic.h"
 
 namespace ecm {
 
@@ -68,17 +71,21 @@ size_t SlabArena::MemoryBytes() const {
 // ---------------------------------------------------------------------------
 
 SlabEhPool::SlabEhPool(double epsilon, uint64_t window_len)
-    : epsilon_(epsilon), window_len_(window_len) {
+    : epsilon_(epsilon),
+      window_len_(window_len),
+      level_capacity_(EhLevelCapacity(epsilon)) {
   assert(epsilon_ > 0.0 && epsilon_ <= 1.0);
   assert(window_len_ > 0);
-  // Same capacity rule as ExponentialHistogram: k = ceil(1/eps), merge the
-  // two oldest buckets of a level once it holds k + 2.
-  double k = std::ceil(1.0 / epsilon_);
-  if (!(k >= 1.0)) k = 1.0;
-  if (k > 1e9) k = 1e9;
-  level_capacity_ = static_cast<size_t>(k) + 2;
-  assert(level_capacity_ <= kMaxLevelCapacity &&
-         "SlabEhPool requires epsilon >= ~1/500 (see kMaxLevelCapacity)");
+  // Checked in every build type: past this capacity one histogram's slots
+  // overflow the largest size class and the 16-bit header fields.
+  if (level_capacity_ > kMaxLevelCapacity) {
+    std::fprintf(stderr,
+                 "SlabEhPool: epsilon %g needs %zu buckets per level, the "
+                 "slab layout holds at most %zu (epsilon must be >= 1/%zu)\n",
+                 epsilon_, level_capacity_, kMaxLevelCapacity,
+                 kMaxLevelCapacity - 2);
+    std::abort();
+  }
 }
 
 void SlabEhPool::Reblock(SlabEhState* s, uint8_t new_cls) {
@@ -146,84 +153,42 @@ void SlabEhPool::AddOne(SlabEhState* s, Timestamp ts) {
 }
 
 void SlabEhPool::AddBatch(SlabEhState* s, Timestamp ts, uint64_t count) {
-  // Unpack the span into per-level end-timestamp lists (oldest first),
-  // run the closed-form cascade propagation verbatim from
-  // ExponentialHistogram::AddBatch, and repack. Reused thread-local
-  // scratch keeps the path allocation-free after warm-up.
+  // Unpack the span into per-level end-timestamp lists (level i holds
+  // lv[i][lv_head[i]..], oldest first), run the shared weighted cascade
+  // over them, and repack. Reused thread-local scratch keeps the path
+  // allocation-free after warm-up.
   static thread_local std::vector<std::vector<Timestamp>> lv;
   static thread_local std::vector<uint32_t> lv_head;
-  static thread_local std::vector<Timestamp> expl, next_expl;
+  struct ListLevels {
+    uint64_t Count(size_t i) {
+      if (lv.size() <= i) {
+        lv.resize(i + 1);
+        lv_head.resize(i + 1, 0);
+      }
+      return lv[i].size() - lv_head[i];
+    }
+    Timestamp End(size_t i, uint64_t pos) const {
+      return lv[i][lv_head[i] + pos];
+    }
+    void PopFront(size_t i, uint64_t n) {
+      lv_head[i] += static_cast<uint32_t>(n);
+    }
+    void PushBack(size_t i, Timestamp end) { lv[i].push_back(end); }
+  } levels;
   for (std::vector<Timestamp>& l : lv) l.clear();
   lv_head.assign(lv.size(), 0);
-  expl.clear();
-
   const uint64_t* span =
       s->block == SlabArena::kNullBlock ? nullptr : arena_.Slots(s->block);
   for (uint32_t p = 0; p < s->count; ++p) {
     const uint64_t slot = span[s->start + p];
     const size_t level = static_cast<size_t>(SlotLevel(slot));
-    if (lv.size() <= level) {
-      lv.resize(level + 1);
-      lv_head.resize(level + 1, 0);
-    }
-    lv[level].push_back(SlotEnd(slot));
+    levels.Count(level);  // creates the level
+    levels.PushBack(level, SlotEnd(slot));
   }
-
-  auto ensure_level = [](size_t level) {
-    if (lv.size() <= level) {
-      lv.resize(level + 1);
-      lv_head.resize(level + 1, 0);
-    }
-  };
-  auto level_count = [](size_t i) -> uint64_t {
-    return lv[i].size() - lv_head[i];
-  };
-  auto at = [](size_t i, uint64_t pos) -> Timestamp {
-    return lv[i][lv_head[i] + pos];
-  };
-
-  uint64_t ts_run = count;
-  for (size_t i = 0; ts_run + expl.size() > 0; ++i) {
-    ensure_level(i);
-    const uint64_t c = level_capacity_;
-    const uint64_t m = level_count(i);
-    const uint64_t k = expl.size() + ts_run;
-    const uint64_t merges = (k >= c - m) ? 1 + (k - (c - m)) / 2 : 0;
-    if (merges == 0) {
-      for (Timestamp e : expl) lv[i].push_back(e);
-      for (uint64_t j = 0; j < ts_run; ++j) lv[i].push_back(ts);
-      break;
-    }
-    next_expl.clear();
-    uint64_t next_ts_run = 0;
-    for (uint64_t j = 1; j <= merges; ++j) {
-      const uint64_t p = 2 * j;
-      if (p <= m) {
-        next_expl.push_back(at(i, p - 1));
-      } else if (p <= m + expl.size()) {
-        next_expl.push_back(expl[p - m - 1]);
-      } else {
-        next_ts_run = merges - j + 1;
-        break;
-      }
-    }
-    const uint64_t consumed_existing = std::min(2 * merges, m);
-    lv_head[i] += static_cast<uint32_t>(consumed_existing);
-    const uint64_t dropped_in = 2 * merges - consumed_existing;
-    const uint64_t dropped_expl = std::min<uint64_t>(dropped_in, expl.size());
-    for (size_t x = dropped_expl; x < expl.size(); ++x) {
-      lv[i].push_back(expl[x]);
-    }
-    for (uint64_t x = dropped_in - dropped_expl; x < ts_run; ++x) {
-      lv[i].push_back(ts);
-    }
-    expl.swap(next_expl);
-    ts_run = next_ts_run;
-  }
+  const size_t total_slots = static_cast<size_t>(
+      s->count + EhCascadeAdd(levels, level_capacity_, ts, count));
 
   // Repack top level down, oldest first within each level.
-  size_t total_slots = 0;
-  for (size_t i = 0; i < lv.size(); ++i) total_slots += level_count(i);
   assert(total_slots <=
          SlabArena::ClassSlots(SlabArena::kNumClasses - 1));
   if (s->block == SlabArena::kNullBlock ||

@@ -25,13 +25,15 @@
 //   * per-key header state is a 32-byte POD (SlabEhState) the caller
 //     embeds in its own record — the pool holds no per-key allocation.
 //
-// Semantics are replicated from ExponentialHistogram EXACTLY — the same
-// level capacity, unit cascade, closed-form weighted batch insert, expiry
-// rule, estimate arithmetic (including the straddle half-correction and
-// accumulation order) and NextEstimateChangeAt. tests/slab_eh_test.cc pins
-// bit-identical estimates against ExponentialHistogram over randomized
-// weighted add/expire/query interleavings; the keyed store's differential
-// suite leans on that identity for its naive-map oracle.
+// Semantics match ExponentialHistogram EXACTLY. The level capacity and
+// the closed-form weighted batch insert are the same code
+// (window/eh_arithmetic.h); the unit cascade, expiry rule, estimate
+// arithmetic (including the straddle half-correction and accumulation
+// order) and NextEstimateChangeAt are the span-layout forms of the ring
+// layout's. tests/slab_eh_test.cc pins bit-identical estimates against
+// ExponentialHistogram over randomized weighted add/expire/query
+// interleavings; the keyed store's differential suite leans on that
+// identity for its naive-map oracle.
 
 #ifndef ECM_WINDOW_SLAB_EH_H_
 #define ECM_WINDOW_SLAB_EH_H_
@@ -137,9 +139,10 @@ class SlabEhPool {
  public:
   /// Same parameters as ExponentialHistogram::Config. The slab layout
   /// bounds the per-level capacity at kMaxLevelCapacity (epsilon >=
-  /// ~1/500) so that slot counts fit the 16-bit header fields; that
+  /// 1/508) so that slot counts fit the 16-bit header fields; that
   /// covers every per-key configuration of interest (per-key counters
-  /// trade epsilon for memory at million-key scale).
+  /// trade epsilon for memory at million-key scale). A smaller epsilon
+  /// aborts with a message, in every build type.
   SlabEhPool(double epsilon, uint64_t window_len);
 
   /// Registers `count` arrivals at `ts` and expires what slid out,

@@ -398,14 +398,13 @@ TEST(IncrementalDriftTest, DetectsCrossingBeyondWindowExpiry) {
 }
 
 TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
-  // Pins the old staleness bug: with the periodic refresh disabled
-  // (refresh_every huge), the former tick-based tracker would keep the
-  // flooded cells' stale estimates forever once the flood stops — the
-  // site ball never reaches the surface and the monitor stays "above"
-  // after the window has long expired the flood. The per-counter
-  // expiry-event heap must replay the estimate drops exactly, so
-  // incremental mode fires syncs on the very same arrivals as the
-  // full-rebuild reference and detects the downward crossing.
+  // Pins the old staleness bug: without a periodic refresh, a tick-based
+  // tracker would keep the flooded cells' stale estimates forever once
+  // the flood stops — the site ball never reaches the surface and the
+  // monitor stays "above" after the window has long expired the flood.
+  // The per-counter expiry-event heap must replay the estimate drops
+  // exactly, so incremental mode fires syncs on the very same arrivals
+  // as the full-rebuild reference and detects the downward crossing.
   constexpr uint64_t kWin = 2'000;
   auto cfg_r = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, kWin, 83,
                                  OptimizeFor::kSelfJoinQueries);
@@ -443,7 +442,6 @@ TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
   GeometricSelfJoinMonitor::Config mc;
   mc.threshold = 1e6;
   mc.check_every = 2;
-  mc.refresh_every = 1'000'000'000;  // the legacy staleness tick never fires
 
   auto run = [&](DriftTracking drift) {
     auto mcd = mc;
@@ -515,7 +513,6 @@ TEST(IncrementalDriftTest, PointMonitorExpiryMatchesRebuildWithoutRefresh) {
   mc.key = kVictim;
   mc.threshold = 800;
   mc.check_every = 2;
-  mc.refresh_every = 1'000'000'000;
 
   auto run = [&](DriftTracking drift) {
     auto mcd = mc;
@@ -547,6 +544,12 @@ TEST(IncrementalDriftTest, PointMonitorExpiryMatchesRebuildWithoutRefresh) {
 }
 
 // --- Counter-generic monitors ---------------------------------------------
+
+// The monitors track expiry through the counters' estimate-change hook
+// and have no fallback, so only counters with the hook instantiate.
+static_assert(ExpiryTrackedCounter<ExponentialHistogram>);
+static_assert(ExpiryTrackedCounter<RandomizedWave>);
+static_assert(!ExpiryTrackedCounter<DeterministicWave>);
 
 TEST(CounterGenericMonitorTest, RandomizedWaveSelfJoinMonitorRuns) {
   auto cfg = EcmConfig::Create(0.15, 0.1, WindowMode::kTimeBased, kWindow, 91,

@@ -2,7 +2,7 @@
 // the unbounded-error failure mode on small ranges the paper criticizes,
 // and its use inside an EcmSketch.
 
-#include "src/core/equiwidth_cm.h"
+#include "src/window/equiwidth_window.h"
 
 #include <gtest/gtest.h>
 

@@ -280,6 +280,21 @@ TEST(KeyedStoreTest, VarianceMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(point, 40.0);
 }
 
+TEST(KeyedStoreDeathTest, EpsilonBelowSlabBoundAbortsWithMessage) {
+  // The slab layout holds at most SlabEhPool::kMaxLevelCapacity buckets
+  // per level. A smaller epsilon would overflow a key's span on a long
+  // run of adds, so construction aborts — in Release builds too.
+  KeyedStoreConfig cfg;
+  cfg.epsilon = 1e-4;
+  cfg.window_len = 1 << 20;
+  EXPECT_DEATH(
+      {
+        KeyedCounterStore store(cfg);
+        for (Timestamp ts = 1; ts <= 400'000; ++ts) store.Add(42, ts);
+      },
+      "SlabEhPool: epsilon 0.0001 needs 10002 buckets per level");
+}
+
 // ---------------------------------------------------------------------------
 // Sketch-guarded admission / eviction / capacity
 // ---------------------------------------------------------------------------

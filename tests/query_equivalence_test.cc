@@ -3,14 +3,16 @@
 // implementations exactly.
 //
 //  * ExponentialHistogram::Estimate (running-total fast path + single
-//    straddling-level search) vs EstimateScanReference — bit-identical;
-//  * RandomizedWave::Estimate (run prefix-sum lookup) vs
-//    EstimateScanReference — bit-identical (same integer sums), including
-//    after serialization round-trips and §5.2 k-way merges;
+//    straddling-level search) vs the bucket-scan oracle
+//    (tests/test_oracles.h) — bit-identical;
+//  * RandomizedWave::Estimate (run prefix-sum lookup) vs the run-scan
+//    oracle — bit-identical (same integer sums), including after
+//    serialization round-trips and §5.2 k-way merges;
 //  * EcmSketch::InnerProduct/SelfJoin/EstimateL1 batched paths vs the
 //    per-cell double-Estimate loops — bit-identical (same values, same
 //    accumulation order), plus L1 memoization invalidation on update;
-//  * EcmSketch::PointQueryBatchAt vs per-key PointQueryAt;
+//  * EcmSketch::PointQueryBatchAt vs per-key PointQueryAt, on both sides
+//    of the size cutover between its scalar and bucket-sorted sweeps;
 //  * DyadicEcm frontier heavy-hitter descent vs the recursive per-node
 //    group-testing descent — same keys, estimates and order.
 
@@ -25,6 +27,7 @@
 #include "src/core/ecm_sketch.h"
 #include "src/util/random.h"
 #include "src/window/merge.h"
+#include "tests/test_oracles.h"
 
 namespace ecm {
 namespace {
@@ -46,7 +49,7 @@ void CheckCounterEquivalence(MakeFn make, int streams, int ops) {
       Timestamp now = t + rng.Uniform(40);
       for (int q = 0; q < 4; ++q) {
         uint64_t range = 1 + rng.Uniform(kWindow + kWindow / 3);
-        ASSERT_EQ(c.Estimate(now, range), c.EstimateScanReference(now, range))
+        ASSERT_EQ(c.Estimate(now, range), oracle::ScanEstimate(c, now, range))
             << "stream " << s << " op " << op << " now " << now << " range "
             << range;
       }
@@ -98,7 +101,7 @@ TEST(QueryEquivalenceTest, RwEstimateMatchesScanAfterRoundTrip) {
   for (uint64_t range : ranges) {
     // The decoded wave's run cumulative counts must be consistent: its
     // indexed estimate equals both its own scan and the original's.
-    EXPECT_EQ(back->Estimate(t, range), back->EstimateScanReference(t, range));
+    EXPECT_EQ(back->Estimate(t, range), oracle::ScanEstimate(*back, t, range));
     EXPECT_EQ(back->Estimate(t, range), rw.Estimate(t, range));
   }
 }
@@ -127,7 +130,7 @@ TEST(QueryEquivalenceTest, RwEstimateMatchesScanAfterMerge) {
   for (uint64_t range : ranges) {
     // The k-way merged wave's cumulative counts must be consistent too.
     EXPECT_EQ(merged->Estimate(t, range),
-              merged->EstimateScanReference(t, range));
+              oracle::ScanEstimate(*merged, t, range));
   }
 }
 
@@ -163,8 +166,8 @@ TEST(QueryEquivalenceTest, BatchedSelfJoinMatchesPerCellLoops) {
       for (uint32_t i = 0; i < cfg.width; ++i) {
         const ExponentialHistogram& c = sketch.CounterAt(j, i);
         row_new += c.Estimate(now, range) * c.Estimate(now, range);
-        row_legacy += c.EstimateScanReference(now, range) *
-                      c.EstimateScanReference(now, range);
+        row_legacy += oracle::ScanEstimate(c, now, range) *
+                      oracle::ScanEstimate(c, now, range);
       }
       ref_new = std::min(ref_new, row_new);
       ref_legacy = std::min(ref_legacy, row_legacy);
@@ -250,38 +253,27 @@ TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyQueries) {
   }
 }
 
-TEST(QueryEquivalenceTest, PointQueryBatchBucketSortMatchesScalarSweep) {
-  // Every explicit sweep mode — and the cost-model auto pick — must be
-  // bit-identical to the arrival-order scalar sweep (kept as the
-  // ablation reference), duplicates included.
+TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyAcrossSweepCutover) {
+  // The batch size picks the sweep: arrival order below
+  // kBatchBucketSortThreshold keys, bucket-sorted from it on. Sizes on
+  // both sides of the cutover must match per-key queries bit for bit,
+  // column-colliding duplicates included.
   Timestamp now = 0;
   EcmEh sketch = MakeLoadedSketch(61, &now);
+  constexpr size_t kT = EcmEh::kBatchBucketSortThreshold;
   Rng rng(77);
   std::vector<uint64_t> keys;
-  for (int i = 0; i < 5'000; ++i) keys.push_back(rng.Uniform(700));
-  std::vector<double> got(keys.size()), scalar(keys.size());
+  for (size_t i = 0; i < 4 * kT; ++i) keys.push_back(rng.Uniform(700));
+  std::vector<double> got(keys.size());
   const uint64_t ranges[] = {64, kWindow / 3, kWindow};
-  const BatchQueryMode modes[] = {BatchQueryMode::kAuto,
-                                  BatchQueryMode::kScalarSweep,
-                                  BatchQueryMode::kBucketSorted};
-  for (uint64_t range : ranges) {
-    sketch.PointQueryBatchScalarAt(keys.data(), keys.size(), range, now,
-                                   scalar.data());
-    for (BatchQueryMode mode : modes) {
-      sketch.PointQueryBatchAt(keys.data(), keys.size(), range, now,
-                               got.data(), mode);
-      for (size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(got[i], scalar[i])
-            << "key " << keys[i] << " range " << range << " mode "
-            << static_cast<int>(mode);
+  for (size_t n : {size_t{1}, kT - 1, kT, 4 * kT}) {
+    for (uint64_t range : ranges) {
+      sketch.PointQueryBatchAt(keys.data(), n, range, now, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], sketch.PointQueryAt(keys[i], range, now))
+            << "n " << n << " key " << keys[i] << " range " << range;
       }
     }
-  }
-  // Tiny frontiers (below the auto sort threshold) agree in every mode.
-  sketch.PointQueryBatchScalarAt(keys.data(), 5, kWindow, now, scalar.data());
-  for (BatchQueryMode mode : modes) {
-    sketch.PointQueryBatchAt(keys.data(), 5, kWindow, now, got.data(), mode);
-    for (size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], scalar[i]);
   }
 }
 

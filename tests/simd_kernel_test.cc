@@ -2,8 +2,8 @@
 //
 // Every vector tier must be bit-identical to the scalar reference — bucket
 // placement is part of a sketch's identity, so "close" is not good enough.
-// The suite runs each kernel under forced-scalar, forced-SSE2, forced-AVX2
-// (skipping tiers the CPU lacks) and auto-dispatch, over randomized
+// The suite runs each kernel under forced-scalar, forced-AVX2 (skipping
+// the tier if the CPU lacks it) and auto-dispatch, over randomized
 // weighted streams, adversarial key shapes, and every tail length, then
 // cross-checks whole-sketch estimates across tiers.
 
@@ -23,8 +23,7 @@
 namespace ecm {
 namespace {
 
-constexpr SimdLevel kAllLevels[] = {SimdLevel::kScalar, SimdLevel::kSSE2,
-                                    SimdLevel::kAVX2};
+constexpr SimdLevel kAllLevels[] = {SimdLevel::kScalar, SimdLevel::kAVX2};
 
 // Pins dispatch for one scope; restores auto on exit so test order can
 // never leak a forced tier.
@@ -79,7 +78,7 @@ TEST(SimdKernelTest, Mix64BatchMatchesScalarAtEveryTier) {
 TEST(SimdKernelTest, BucketsMixedMatchesScalarAtEveryTierAndDepth) {
   const std::vector<uint64_t> keys = AdversarialKeys();
   const uint32_t widths[] = {1, 2, 3, 54, 1u << 16, 0xFFFFFFFFu};
-  // Depths cover every vector-tail shape for 2- and 4-lane kernels.
+  // Depths cover every vector-tail shape of the 4-lane kernels.
   for (int d = 1; d <= 9; ++d) {
     HashFamily family(0xFACADE + d, d);
     for (SimdLevel level : kAllLevels) {
@@ -169,6 +168,7 @@ TEST(SimdKernelTest, ForceSimdLevelRejectsUnsupportedAndReports) {
     EXPECT_EQ(parsed, level);
   }
   SimdLevel ignored;
+  EXPECT_FALSE(ParseSimdLevel("sse2", &ignored));  // no SSE2 tier
   EXPECT_FALSE(ParseSimdLevel("auto", &ignored));
   EXPECT_FALSE(ParseSimdLevel("", &ignored));
   EXPECT_FALSE(ParseSimdLevel(nullptr, &ignored));
@@ -226,14 +226,11 @@ TEST(SimdKernelTest, AutoDispatchAgreesWithForcedDetectedTier) {
   HashFamily family(0xAD0, 6);
   std::vector<uint32_t> auto_out(6), forced_out(6);
   SimdLevel detected = DetectedSimdLevel();
-  // Auto mode only steps up to AVX2; below that it stays scalar (SSE2 is
-  // a correctness rung, not a default — see ActiveSimdLevel()). Skip the
-  // tier assertion when ECM_SIMD overrides auto mode.
+  // Auto mode runs the detected tier. Skip the tier assertion when
+  // ECM_SIMD overrides auto mode.
   ResetSimdLevel();
   if (std::getenv("ECM_SIMD") == nullptr) {
-    EXPECT_EQ(ActiveSimdLevel(), detected == SimdLevel::kAVX2
-                                     ? SimdLevel::kAVX2
-                                     : SimdLevel::kScalar);
+    EXPECT_EQ(ActiveSimdLevel(), detected);
   }
   for (uint64_t key : keys) {
     ResetSimdLevel();

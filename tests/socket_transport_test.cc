@@ -254,10 +254,16 @@ TEST(SocketTransportTest, SilentSiteTimesOutAndRejoinCounts) {
   }
 
   // Reconnect with the next epoch: counted as a rejoin, health back up.
+  // Wait on the monotone rejoin count first. Heartbeats well inside the
+  // timeout then keep the rejoined site up, so the health check does not
+  // race the sweeper — and they revive the site if the first
+  // connection's close is processed after the rejoin and marks it down.
   topt.epoch = 2;
+  topt.heartbeat_period_ms = 20;
   auto again =
       SocketTransport::Connect("127.0.0.1", (*server)->port(), 2, topt);
   ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(WaitFor([&] { return (*server)->rejoins() == 1; }));
   ASSERT_TRUE(WaitFor(
       [&] { return (*server)->site(2).health == SiteHealth::kUp; }));
   EXPECT_EQ((*server)->rejoins(), 1u);
