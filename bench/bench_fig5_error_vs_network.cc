@@ -142,9 +142,7 @@ void Run() {
         agg.Process(static_cast<int>(e.node) % sites, e.key, e.ts);
       }
       const CompressionStats cs = agg.compression_stats();
-      const uint64_t wire = mode == CompressionMode::kFull
-                                ? agg.stats().network.bytes
-                                : cs.wire_bytes;
+      const uint64_t wire = cs.wire_bytes;
       if (mode == CompressionMode::kFull) full_wire = wire;
       RecordBenchResult(std::string("fig5/compress/") + name,
                         /*events_per_sec=*/0.0,

@@ -54,7 +54,7 @@ void Run() {
     for (size_t i = 0; i < events.size(); ++i) {
       sites[events[i].node].Add(events[i].key, events[i].ts);
       if (i % probe_every == 0) {
-        sampled += SketchWireSize(sites[events[i].node]);
+        sampled += SerializeSketch(sites[events[i].node]).size();
       }
     }
     sync_always_bytes = sampled * (events.size() / 64);

@@ -117,14 +117,8 @@ void Run() {
     PeriodicAggregator agg(kSites, *scfg, pcfg);
     for (const auto& e : events) agg.Process(e.node % kSites, e.key, e.ts);
     const CompressionStats cs = agg.compression_stats();
-    // kFull bypasses the channel; its wire volume is the transport's
-    // payload accounting and raw == wire by definition.
-    const uint64_t wire =
-        mode == CompressionMode::kFull ? agg.stats().network.bytes
-                                       : cs.wire_bytes;
-    const uint64_t raw =
-        mode == CompressionMode::kFull ? agg.stats().network.bytes
-                                       : cs.raw_bytes;
+    const uint64_t wire = cs.wire_bytes;
+    const uint64_t raw = cs.raw_bytes;
     const std::string mix = std::to_string(cs.full_images) + "/" +
                             std::to_string(cs.delta_images) + "/" +
                             std::to_string(cs.rlz_images);

@@ -73,6 +73,8 @@ struct EcmConfig {
            width == other.width && depth == other.depth &&
            seed == other.seed && hash_reduction == other.hash_reduction;
   }
+
+  bool operator==(const EcmConfig&) const = default;
 };
 
 /// ε_sw = ε_cm = √(1+ε) − 1: deterministic-counter point-query split.

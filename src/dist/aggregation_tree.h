@@ -53,9 +53,10 @@ struct AggregationResult {
 /// sketches (count-based merges are impossible, paper Fig. 2 —
 /// EcmSketch::Merge rejects them).
 ///
-/// Every merge ships both children; the transfers are charged to the
-/// result's NetworkStats and, when a `transport` is given, also through
-/// it — the runtime's single accounting currency (dist/transport.h).
+/// Every merge ships both children's SerializeSketch images; the
+/// transfers are charged to the result's NetworkStats and, when a
+/// `transport` is given, carried through it — the runtime's single
+/// accounting currency (dist/transport.h).
 template <SlidingWindowCounter Counter>
 Result<AggregationResult<Counter>> AggregateTreePtrs(
     const std::vector<const EcmSketch<Counter>*>& leaves,
@@ -82,14 +83,16 @@ Result<AggregationResult<Counter>> AggregateTreePtrs(
     next.reserve((level.size() + 1) / 2);
     size_t i = 0;
     for (; i + 1 < level.size(); i += 2) {
-      const size_t left = SketchWireSize(*level[i]);
-      const size_t right = SketchWireSize(*level[i + 1]);
+      const std::vector<uint8_t> left = SerializeSketch(*level[i]);
+      const std::vector<uint8_t> right = SerializeSketch(*level[i + 1]);
       net.messages += 2;
-      net.bytes += left + right;
+      net.bytes += left.size() + right.size();
       if (transport) {
         const NodeId parent = static_cast<NodeId>(i / 2);
-        transport->Send(static_cast<NodeId>(i), parent, left);
-        transport->Send(static_cast<NodeId>(i + 1), parent, right);
+        transport->Send(static_cast<NodeId>(i), parent, left.data(),
+                        left.size());
+        transport->Send(static_cast<NodeId>(i + 1), parent, right.data(),
+                        right.size());
       }
       auto merged = EcmSketch<Counter>::Merge(
           {level[i], level[i + 1]}, eps,

@@ -26,8 +26,10 @@
 #ifndef ECM_DIST_COMPRESS_H_
 #define ECM_DIST_COMPRESS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -116,6 +118,15 @@ struct CompressionStats {
   uint64_t rlz_images = 0;
   uint64_t wire_bytes = 0;  ///< bytes actually shipped
   uint64_t raw_bytes = 0;   ///< full-snapshot bytes they stand in for
+
+  CompressionStats& operator+=(const CompressionStats& o) {
+    full_images += o.full_images;
+    delta_images += o.delta_images;
+    rlz_images += o.rlz_images;
+    wire_bytes += o.wire_bytes;
+    raw_bytes += o.raw_bytes;
+    return *this;
+  }
 };
 
 /// One shippable image: the kind routes it to the matching frame type /
@@ -168,7 +179,8 @@ class SketchSender {
       }
     }
     base_version_ = sketch.version();
-    reference_ = full;
+    // kFull never encodes against a reference, so it keeps none.
+    if (opts_.mode != CompressionMode::kFull) reference_ = full;
     has_base_ = true;
     if (img.kind == SketchWireKind::kFull) {
       img.bytes = std::move(full);
@@ -213,9 +225,10 @@ class SketchSender {
 /// Replay hardening: delivery is at-least-once under retransmitting
 /// transports (a retry after a send timeout, or SocketTransport's
 /// reconnect retransmit), so a byte-identical re-delivery of the image
-/// just applied is *expected* traffic. The receiver fingerprints each
-/// successfully applied image and absorbs such duplicates idempotently —
-/// returning the current sketch, mutating nothing, never double-merging.
+/// just applied is *expected* traffic. The receiver keeps the header
+/// (magic + payload checksum) of the last successfully applied image and
+/// absorbs such duplicates idempotently — returning the current sketch,
+/// mutating nothing, never double-merging.
 /// Replays of *older* images (same base, but the chain moved on) still
 /// reject with kStaleBase via the base-checksum pinning.
 template <SlidingWindowCounter Counter>
@@ -233,10 +246,11 @@ class SketchReceiver {
     }
     switch (kind) {
       case SketchWireKind::kFull: {
-        auto sketch = DeserializeSketch<Counter>(data, size);
-        if (!sketch.ok()) return sketch.status();
-        base_.emplace(std::move(*sketch));
-        reference_.assign(data, data + size);
+        ECM_RETURN_NOT_OK(DecodeBase(data, size));
+        // kFull never decodes against a reference, so it keeps none.
+        if (opts_.mode != CompressionMode::kFull) {
+          reference_.assign(data, data + size);
+        }
         has_version_ = false;
         NoteApplied(kind, data, size);
         return &*base_;
@@ -264,9 +278,7 @@ class SketchReceiver {
       case SketchWireKind::kRlz: {
         auto full = RlzDecode(data, size, reference_, opts_.epoch);
         if (!full.ok()) return full.status();
-        auto sketch = DeserializeSketch<Counter>(*full);
-        if (!sketch.ok()) return sketch.status();
-        base_.emplace(std::move(*sketch));
+        ECM_RETURN_NOT_OK(DecodeBase(full->data(), full->size()));
         reference_ = std::move(*full);
         has_version_ = false;
         NoteApplied(kind, data, size);
@@ -302,19 +314,36 @@ class SketchReceiver {
   uint64_t duplicates_absorbed() const { return duplicates_absorbed_; }
 
  private:
-  /// True iff this image is byte-identical to the one just applied (and
-  /// the decoded state is still live): the retransmit-duplicate case.
+  static constexpr size_t kHeaderBytes = wire_internal::kSketchHeaderBytes;
+
+  /// Decodes a full image into base_; emptying it on failure resets all.
+  Status DecodeBase(const uint8_t* data, size_t size) {
+    Status st = DeserializeSketchInto(data, size, &base_);
+    if (!st.ok() && !base_.has_value()) Reset();
+    return st;
+  }
+
+  /// True iff this image is the one just applied, base still live. Every
+  /// kind starts with magic + payload FNV-1a, so a matching header whose
+  /// payload verifies identifies it; other images pay no hashing.
   bool IsDuplicateOfLast(SketchWireKind kind, const uint8_t* data,
                          size_t size) const {
-    return has_last_ && base_.has_value() && kind == last_kind_ &&
-           size == last_size_ &&
-           wire_internal::WireChecksum(data, size) == last_checksum_;
+    if (!has_last_ || !base_.has_value() || kind != last_kind_ ||
+        size != last_size_ ||
+        !std::equal(data, data + kHeaderBytes, last_header_)) {
+      return false;
+    }
+    uint64_t checksum;
+    std::memcpy(&checksum, data + kHeaderBytes - sizeof(checksum),
+                sizeof(checksum));
+    return wire_internal::WireChecksum(data + kHeaderBytes,
+                                       size - kHeaderBytes) == checksum;
   }
 
   void NoteApplied(SketchWireKind kind, const uint8_t* data, size_t size) {
     last_kind_ = kind;
     last_size_ = size;
-    last_checksum_ = wire_internal::WireChecksum(data, size);
+    std::memcpy(last_header_, data, kHeaderBytes);
     has_last_ = true;
   }
 
@@ -323,11 +352,11 @@ class SketchReceiver {
   std::vector<uint8_t> reference_;
   uint64_t base_version_ = 0;  // sender version chain (delta only)
   bool has_version_ = false;
-  // Fingerprint of the last applied image, for duplicate absorption.
+  // Kind, size and header of the last applied image (duplicates).
   bool has_last_ = false;
   SketchWireKind last_kind_ = SketchWireKind::kFull;
   size_t last_size_ = 0;
-  uint64_t last_checksum_ = 0;
+  uint8_t last_header_[kHeaderBytes] = {};
   uint64_t duplicates_absorbed_ = 0;
 };
 

@@ -118,29 +118,7 @@ FaultInjectingTransport::FaultInjectingTransport(Transport* inner,
     : inner_(inner), plan_(plan) {}
 
 void FaultInjectingTransport::Send(NodeId from, NodeId to,
-                                   size_t payload_bytes) {
-  SendImpl(from, to, nullptr, payload_bytes, /*accounting_only=*/true);
-}
-
-void FaultInjectingTransport::Send(NodeId from, NodeId to,
                                    const uint8_t* data, size_t size) {
-  SendImpl(from, to, data, size, /*accounting_only=*/false);
-}
-
-void FaultInjectingTransport::Deliver(NodeId from, NodeId to,
-                                      const uint8_t* data, size_t size,
-                                      bool accounting_only,
-                                      size_t payload_bytes) {
-  if (accounting_only) {
-    inner_->Send(from, to, payload_bytes);
-  } else {
-    inner_->Send(from, to, data, size);
-  }
-}
-
-void FaultInjectingTransport::SendImpl(NodeId from, NodeId to,
-                                       const uint8_t* data, size_t size,
-                                       bool accounting_only) {
   std::unique_lock<std::mutex> lk(mu_);
   uint64_t index = 0;
   {
@@ -167,26 +145,21 @@ void FaultInjectingTransport::SendImpl(NodeId from, NodeId to,
     case FaultAction::kDuplicate: {
       ++inj_.duplicates;
       lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
-      Deliver(from, to, data, size, accounting_only, size);
+      inner_->Send(from, to, data, size);
+      inner_->Send(from, to, data, size);
       lk.lock();
       break;
     }
     case FaultAction::kCorrupt: {
-      if (!accounting_only && size > 0) {
+      std::vector<uint8_t> copy(data, data + size);
+      if (size > 0) {  // an empty message has no bit to flip
         ++inj_.corrupts;
-        std::vector<uint8_t> copy(data, data + size);
         const size_t bit = plan_->CorruptBit(from, index, size);
         copy[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        lk.unlock();
-        inner_->Send(from, to, copy.data(), copy.size());
-        lk.lock();
-      } else {
-        // No bytes to corrupt: pass through.
-        lk.unlock();
-        Deliver(from, to, data, size, accounting_only, size);
-        lk.lock();
       }
+      lk.unlock();
+      inner_->Send(from, to, copy.data(), copy.size());
+      lk.lock();
       break;
     }
     case FaultAction::kDelay: {
@@ -194,24 +167,18 @@ void FaultInjectingTransport::SendImpl(NodeId from, NodeId to,
       Delayed d;
       d.from = from;
       d.to = to;
-      d.accounting_only = accounting_only;
-      d.payload_bytes = size;
-      if (!accounting_only && size > 0) d.bytes.assign(data, data + size);
+      d.bytes.assign(data, data + size);
       d.release_index = index + plan_->DelayFrames(from, index);
       delayed_.push_back(std::move(d));
       break;
     }
-    case FaultAction::kSever: {
+    case FaultAction::kSever:
       // No connection to kill at this layer; count it and deliver.
       ++inj_.severs;
-      lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
-      lk.lock();
-      break;
-    }
+      [[fallthrough]];
     case FaultAction::kNone: {
       lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
+      inner_->Send(from, to, data, size);
       lk.lock();
       break;
     }
@@ -235,8 +202,7 @@ void FaultInjectingTransport::ReleaseDueLocked(
   if (due.empty()) return;
   lk.unlock();
   for (const Delayed& d : due) {
-    Deliver(d.from, d.to, d.bytes.data(), d.bytes.size(), d.accounting_only,
-            d.payload_bytes);
+    inner_->Send(d.from, d.to, d.bytes.data(), d.bytes.size());
   }
   lk.lock();
 }
@@ -248,8 +214,7 @@ void FaultInjectingTransport::FlushDelayed() {
     due.swap(delayed_);
   }
   for (const Delayed& d : due) {
-    Deliver(d.from, d.to, d.bytes.data(), d.bytes.size(), d.accounting_only,
-            d.payload_bytes);
+    inner_->Send(d.from, d.to, d.bytes.data(), d.bytes.size());
   }
 }
 

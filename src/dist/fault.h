@@ -158,7 +158,7 @@ class FaultPlan {
 ///    (stats() still charges it: the sender offered the traffic).
 ///  * kDuplicate — delivered twice back to back.
 ///  * kCorrupt — one bit (chosen by the plan) flipped in a copy of the
-///    payload; accounting-only sends carry no bytes and pass through.
+///    payload; an empty message has no bit to flip and passes through.
 ///  * kDelay — held until DelayFrames() later messages from the same
 ///    node have been sent, then delivered (reordering). FlushDelayed()
 ///    releases stragglers at end of script.
@@ -182,8 +182,6 @@ class FaultInjectingTransport final : public Transport {
   /// Neither pointer is owned; both must outlive the decorator.
   FaultInjectingTransport(Transport* inner, const FaultPlan* plan);
 
-  using Transport::Send;
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
   void Send(NodeId from, NodeId to, const uint8_t* data,
             size_t size) override;
 
@@ -200,22 +198,13 @@ class FaultInjectingTransport final : public Transport {
     NodeId from = 0;
     NodeId to = 0;
     std::vector<uint8_t> bytes;
-    bool accounting_only = false;
-    size_t payload_bytes = 0;     ///< for accounting-only sends
     uint64_t release_index = 0;   ///< deliver once node passes this index
   };
-
-  /// Common path for both Send forms.
-  void SendImpl(NodeId from, NodeId to, const uint8_t* data, size_t size,
-                bool accounting_only);
 
   /// Delivers delayed messages of `from` due at `index` (mu_ held;
   /// unlocks around inner sends via the caller-provided lock).
   void ReleaseDueLocked(std::unique_lock<std::mutex>& lk, NodeId from,
                         uint64_t index);
-
-  void Deliver(NodeId from, NodeId to, const uint8_t* data, size_t size,
-               bool accounting_only, size_t payload_bytes);
 
   Transport* const inner_;
   const FaultPlan* const plan_;

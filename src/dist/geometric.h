@@ -226,14 +226,18 @@ class GeometricMonitorBase {
     }
 
     // Vectors up, the average back down — the sync's wire cost.
+    const size_t bytes = dim_ * sizeof(double);
     for (const SiteState& st : sites_) {
-      transport_->Send(st.node.id(), kCoordinatorNode, VectorWireSize(dim_));
+      transport_->Send(st.node.id(), kCoordinatorNode,
+                       reinterpret_cast<const uint8_t*>(st.v_sync.data()),
+                       bytes);
     }
     for (const SiteState& st : sites_) {
-      transport_->Send(kCoordinatorNode, st.node.id(), VectorWireSize(dim_));
+      transport_->Send(kCoordinatorNode, st.node.id(),
+                       reinterpret_cast<const uint8_t*>(e_avg_.data()), bytes);
     }
     stats_.network.messages += 2 * n;
-    stats_.network.bytes += 2ull * n * VectorWireSize(dim_);
+    stats_.network.bytes += 2ull * n * bytes;
   }
 
   /// Side of the threshold established by the most recent sync.

@@ -7,13 +7,14 @@
 // by at most one trigger interval (the bandwidth/freshness trade-off the
 // structure exists for).
 //
-// Built on the shared runtime substrate: sites are runtime Sites, pushes
-// ship their exact dist/serialize wire size through the Transport, and
-// every per-site tally lives with the site — so ParallelIngest can drive
-// Process() from one worker per site shard with no locking (a push only
-// writes the pushing site's own snapshot slot; the merged coordinator
-// view is keyed on the global push count and rebuilt lazily at query
-// time, after ingest quiesces).
+// Built on the shared runtime substrate: the sites, their channels and
+// the transport belong to a runtime Coordinator, and a push is
+// Coordinator::Ship — the snapshot is the sketch the site's receiver
+// decoded. This class only adds the per-site trigger state, so
+// ParallelIngest can drive Process() from one worker per site shard with
+// no locking (a push only touches the pushing site's sketch, channel and
+// trigger slot; the merged coordinator view is keyed on the global push
+// count and rebuilt lazily at query time, after ingest quiesces).
 
 #ifndef ECM_DIST_PERIODIC_H_
 #define ECM_DIST_PERIODIC_H_
@@ -21,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,7 +29,6 @@
 #include "src/dist/compress.h"
 #include "src/dist/network_stats.h"
 #include "src/dist/runtime.h"
-#include "src/dist/serialize.h"
 #include "src/dist/transport.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
@@ -47,13 +46,9 @@ class PeriodicAggregatorT {
     /// Push whenever the site's windowed L1 estimate moved by this
     /// fraction (relative to its value at the last push; 0 = disabled).
     double drift_fraction = 0.0;
-    /// Wire compression of pushed snapshots (dist/compress.h). The
-    /// default kFull keeps the pre-compression behavior: snapshots are
-    /// charged at full SerializeSketch size and copied directly. Any
-    /// other mode routes every push through a per-site sender/receiver
-    /// channel pair: deltas/RLZ images on the wire, and the coordinator
-    /// snapshot is the receiver-decoded sketch (verified bit-identical
-    /// to the full image).
+    /// Wire compression of pushed snapshots (dist/compress.h): the
+    /// images the per-site channels ship. The default kFull ships full
+    /// SerializeSketch snapshots.
     CompressionOptions compression{CompressionMode::kFull};
   };
 
@@ -67,40 +62,33 @@ class PeriodicAggregatorT {
 
   PeriodicAggregatorT(int num_sites, const EcmConfig& sketch_config,
                       const Config& config, Transport* transport = nullptr)
-      : sketch_config_(sketch_config), config_(config), transport_(transport) {
-    if (!transport_) {
-      owned_transport_ = std::make_unique<LoopbackTransport>();
-      transport_ = owned_transport_.get();
-    }
-    sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      sites_.emplace_back(i, sketch_config_, config_.compression);
-    }
-  }
+      : config_(config),
+        coord_(num_sites, sketch_config, transport, config.compression),
+        triggers_(static_cast<size_t>(num_sites)) {}
 
   /// Routes one arrival to `site`'s local sketch and fires any due push.
   /// Returns true iff this arrival triggered a push. Touches only
   /// `site`-local state (plus the thread-safe Transport), so one
   /// ParallelIngest worker per site shard may call it concurrently.
-  bool Process(int site_idx, uint64_t key, Timestamp ts, uint64_t count = 1) {
-    SiteState& site = sites_[static_cast<size_t>(site_idx)];
-    site.node.Ingest(key, ts, count);
-    ++site.updates;
+  bool Process(int site, uint64_t key, Timestamp ts, uint64_t count = 1) {
+    Site<Counter>& node = coord_.site(site);
+    const Trigger& tr = triggers_[static_cast<size_t>(site)];
+    node.Ingest(key, ts, count);
 
-    if (!site.snapshot.has_value()) {
-      Push(&site, PushKind::kInitial);
+    if (tr.pushes == 0) {
+      Push(site, PushKind::kInitial);
       return true;
     }
-    const Timestamp now = site.node.sketch().Now();
-    if (config_.period > 0 && now - site.last_push_ts >= config_.period) {
-      Push(&site, PushKind::kPeriodic);
+    const Timestamp now = node.sketch().Now();
+    if (config_.period > 0 && now - tr.last_push_ts >= config_.period) {
+      Push(site, PushKind::kPeriodic);
       return true;
     }
     if (config_.drift_fraction > 0.0) {
-      double l1 = site.node.sketch().EstimateL1(sketch_config_.window_len);
-      if (std::abs(l1 - site.pushed_l1) >=
-          config_.drift_fraction * std::max(site.pushed_l1, 1.0)) {
-        Push(&site, PushKind::kDrift);
+      double l1 = node.sketch().EstimateL1(coord_.config().window_len);
+      if (std::abs(l1 - tr.pushed_l1) >=
+          config_.drift_fraction * std::max(tr.pushed_l1, 1.0)) {
+        Push(site, PushKind::kDrift);
         return true;
       }
     }
@@ -108,14 +96,19 @@ class PeriodicAggregatorT {
   }
 
   /// Forces every site to push its current sketch (e.g. before a query
-  /// barrier).
+  /// barrier). Returns the first failed ship, if any.
   Status SyncAll() {
-    for (SiteState& site : sites_) Push(&site, PushKind::kForced);
-    return Status::OK();
+    Status first;
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      Push(i, PushKind::kForced);
+      const auto& got = triggers_[static_cast<size_t>(i)].received;
+      if (first.ok() && !got.ok()) first = got.status();
+    }
+    return first;
   }
 
   /// Merged view of the freshest snapshot of every site. Fails while any
-  /// site has never pushed.
+  /// site has never pushed, or when a site's last ship failed.
   Result<EcmSketch<Counter>> GlobalView() const {
     auto view = MergedView();
     if (!view.ok()) return view.status();
@@ -129,40 +122,33 @@ class PeriodicAggregatorT {
     return (*view)->PointQuery(key, range);
   }
 
-  /// Aggregated counters (per-site tallies summed on demand).
+  /// Aggregated counters (per-site tallies summed on demand). The
+  /// network volume is what the channels shipped.
   Stats stats() const {
     Stats s;
-    for (const SiteState& site : sites_) {
-      s.updates += site.updates;
-      s.pushes += site.pushes;
-      s.periodic_pushes += site.periodic_pushes;
-      s.drift_pushes += site.drift_pushes;
-      s.network.messages += site.net.messages;
-      s.network.bytes += site.net.bytes;
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      const Trigger& tr = triggers_[static_cast<size_t>(i)];
+      s.updates += coord_.site(i).updates();
+      s.pushes += tr.pushes;
+      s.periodic_pushes += tr.periodic_pushes;
+      s.drift_pushes += tr.drift_pushes;
     }
+    const CompressionStats cs = coord_.compression_stats();
+    s.network.messages = cs.full_images + cs.delta_images + cs.rlz_images;
+    s.network.bytes = cs.wire_bytes;
     return s;
   }
 
-  /// Aggregated sender-side accounting of the compression channels
-  /// (all-zero in CompressionMode::kFull).
+  /// Aggregated sender-side accounting of the per-site channels.
   CompressionStats compression_stats() const {
-    CompressionStats total;
-    for (const SiteState& site : sites_) {
-      const CompressionStats& s = site.sender.stats();
-      total.full_images += s.full_images;
-      total.delta_images += s.delta_images;
-      total.rlz_images += s.rlz_images;
-      total.wire_bytes += s.wire_bytes;
-      total.raw_bytes += s.raw_bytes;
-    }
-    return total;
+    return coord_.compression_stats();
   }
 
   /// Largest timestamp processed so far.
   Timestamp clock() const {
     Timestamp t = 0;
-    for (const SiteState& site : sites_) {
-      t = std::max(t, site.node.sketch().Now());
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      t = std::max(t, coord_.site(i).sketch().Now());
     }
     return t;
   }
@@ -170,95 +156,60 @@ class PeriodicAggregatorT {
   /// The live local sketch of one site (always fresh, unlike the
   /// coordinator's snapshot of it).
   const EcmSketch<Counter>& site_sketch(int site) const {
-    return sites_[static_cast<size_t>(site)].node.sketch();
+    return coord_.site(site).sketch();
   }
-
-  Transport& transport() { return *transport_; }
 
  private:
   enum class PushKind { kInitial, kPeriodic, kDrift, kForced };
 
-  struct SiteState {
-    SiteState(NodeId id, const EcmConfig& cfg, const CompressionOptions& copts)
-        : node(id, cfg), sender(copts), receiver(copts) {}
-    Site<Counter> node;
-    SketchSender<Counter> sender;      // compressed-push channel (unused
-    SketchReceiver<Counter> receiver;  // in CompressionMode::kFull)
-    std::optional<EcmSketch<Counter>> snapshot;
+  /// Per-site push schedule and the outcome of the site's last ship.
+  struct Trigger {
     Timestamp last_push_ts = 0;
     double pushed_l1 = 0.0;  ///< windowed L1 estimate at the last push
-    uint64_t updates = 0;
     uint64_t pushes = 0;
     uint64_t periodic_pushes = 0;
     uint64_t drift_pushes = 0;
-    NetworkStats net;  ///< this site's share of the transport traffic
+    /// The coordinator's snapshot of the site: the receiver-decoded
+    /// sketch of the last ship, or why there is none.
+    Result<const EcmSketch<Counter>*> received = Status::InvalidArgument(
+        "PeriodicAggregator: some site has never pushed; call SyncAll() "
+        "or wait for its first arrival");
   };
 
-  void Push(SiteState* site, PushKind kind) {
-    const EcmSketch<Counter>& local = site->node.sketch();
-    size_t wire;
-    if (config_.compression.mode == CompressionMode::kFull) {
-      site->snapshot = local;  // models serialize -> wire -> deserialize
-      wire = SketchWireSize(local);
-      transport_->Send(site->node.id(), kCoordinatorNode, wire);
-    } else {
-      SketchWireImage img = site->sender.Ship(local);
-      auto decoded = site->receiver.Receive(img.kind, img.bytes.data(),
-                                            img.bytes.size());
-      if (!decoded.ok()) {
-        // In-process the channel cannot desync; resync defensively with a
-        // full snapshot so propagation never wedges.
-        site->sender.Reset();
-        img = site->sender.Ship(local);
-        decoded = site->receiver.Receive(img.kind, img.bytes.data(),
-                                         img.bytes.size());
-      }
-      if (decoded.ok()) {
-        site->snapshot = **decoded;
-      } else {
-        site->snapshot = local;
-      }
-      wire = img.bytes.size();
-      transport_->Send(site->node.id(), kCoordinatorNode, wire);
-    }
-    site->last_push_ts = local.Now();
-    site->pushed_l1 = local.EstimateL1(sketch_config_.window_len);
-    ++site->pushes;
-    if (kind == PushKind::kPeriodic) ++site->periodic_pushes;
-    if (kind == PushKind::kDrift) ++site->drift_pushes;
-    ++site->net.messages;
-    site->net.bytes += wire;
+  void Push(int site, PushKind kind) {
+    Trigger& tr = triggers_[static_cast<size_t>(site)];
+    const EcmSketch<Counter>& local = coord_.site(site).sketch();
+    tr.received = coord_.Ship(site);
+    tr.last_push_ts = local.Now();
+    tr.pushed_l1 = local.EstimateL1(coord_.config().window_len);
+    ++tr.pushes;
+    if (kind == PushKind::kPeriodic) ++tr.periodic_pushes;
+    if (kind == PushKind::kDrift) ++tr.drift_pushes;
   }
 
   Result<const EcmSketch<Counter>*> MergedView() const {
     uint64_t total_pushes = 0;
-    for (const SiteState& site : sites_) total_pushes += site.pushes;
+    for (const Trigger& tr : triggers_) total_pushes += tr.pushes;
     if (merged_cache_.has_value() && merged_cache_pushes_ == total_pushes) {
       return &*merged_cache_;
     }
     std::vector<const EcmSketch<Counter>*> snapshots;
-    snapshots.reserve(sites_.size());
-    for (const SiteState& site : sites_) {
-      if (!site.snapshot.has_value()) {
-        return Status::InvalidArgument(
-            "PeriodicAggregator: some site has never pushed; call SyncAll() "
-            "or wait for its first arrival");
-      }
-      snapshots.push_back(&*site.snapshot);
+    snapshots.reserve(triggers_.size());
+    for (const Trigger& tr : triggers_) {
+      if (!tr.received.ok()) return tr.received.status();
+      snapshots.push_back(*tr.received);
     }
     auto merged = EcmSketch<Counter>::Merge(
-        snapshots, sketch_config_.epsilon_sw, sketch_config_.seed);
+        snapshots, coord_.config().epsilon_sw, coord_.config().seed);
     if (!merged.ok()) return merged.status();
     merged_cache_ = std::move(*merged);
     merged_cache_pushes_ = total_pushes;
     return &*merged_cache_;
   }
 
-  EcmConfig sketch_config_;
   Config config_;
-  Transport* transport_;
-  std::unique_ptr<Transport> owned_transport_;
-  std::vector<SiteState> sites_;
+  Coordinator<Counter> coord_;
+  std::vector<Trigger> triggers_;  ///< one per site, same index
   // Merged snapshot cache, keyed on the global push count (stale after
   // any push; rebuilt lazily at query time, outside the ingest path).
   mutable std::optional<EcmSketch<Counter>> merged_cache_;

@@ -3,9 +3,9 @@
 namespace ecm {
 
 void LoopbackTransport::Send(NodeId /*from*/, NodeId /*to*/,
-                             size_t payload_bytes) {
+                             const uint8_t* /*data*/, size_t size) {
   messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
+  bytes_.fetch_add(size, std::memory_order_relaxed);
 }
 
 NetworkStats LoopbackTransport::stats() const {

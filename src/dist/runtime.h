@@ -7,9 +7,10 @@
 //    counter-generic EcmSketch plus an optional dyadic stack, with
 //    per-arrival and batched ingest. Exactly one ParallelIngest worker
 //    ever touches a site, so sites need no locks.
-//  * Coordinator<Counter> — owns the sites and the global views: flat
-//    collect-and-merge (§5.3) and balanced-tree aggregation (§5.1), both
-//    shipping through the Transport.
+//  * Coordinator<Counter> — owns the sites, one compression channel per
+//    site, and the global views: flat collect-and-merge (§5.3) and
+//    balanced-tree aggregation (§5.1), both shipping through the
+//    Transport.
 //  * ParallelIngest     — the sharded multi-threaded ingest driver: one
 //    worker per site shard (site s belongs to shard s mod workers),
 //    per-shard event batches, and a sync barrier on which all workers
@@ -46,11 +47,19 @@ namespace ecm {
 /// produces global views by shipping their sketches over the Transport.
 /// Pass a shared Transport to charge several substrates into one
 /// NetworkStats currency; with none, the coordinator owns a loopback.
+///
+/// Every site has a sender/receiver channel pair (dist/compress.h), the
+/// one path a sketch takes to the coordinator: `compression` picks the
+/// images the senders ship (default kFull: full SerializeSketch
+/// snapshots), and the coordinator's views are built from the
+/// receiver-decoded sketches — the exact state a remote coordinator
+/// reconstructs, verified bit-identical to the full images.
 template <SlidingWindowCounter Counter>
 class Coordinator {
  public:
   Coordinator(int num_sites, const EcmConfig& config,
               Transport* transport = nullptr,
+              const CompressionOptions& compression = {CompressionMode::kFull},
               const typename Site<Counter>::Options& site_options = {})
       : config_(config), transport_(transport) {
     if (!transport_) {
@@ -58,8 +67,10 @@ class Coordinator {
       transport_ = owned_transport_.get();
     }
     sites_.reserve(static_cast<size_t>(num_sites));
+    channels_.reserve(static_cast<size_t>(num_sites));
     for (int i = 0; i < num_sites; ++i) {
       sites_.emplace_back(i, config_, site_options);
+      channels_.emplace_back(compression);
     }
   }
 
@@ -72,56 +83,49 @@ class Coordinator {
   Transport& transport() { return *transport_; }
   const Transport& transport() const { return *transport_; }
 
-  /// Enables compressed propagation for CollectAndMerge: every site gets
-  /// a persistent sender/receiver channel pair (dist/compress.h), so
-  /// repeated collects ship delta/RLZ images instead of full snapshots.
-  /// The merged view is built from the receiver-decoded sketches — the
-  /// exact state a remote coordinator would reconstruct — which the
-  /// channels verify bit-identical to the full images.
-  void EnableCompression(const CompressionOptions& options) {
-    channels_.clear();
-    channels_.reserve(sites_.size());
-    for (size_t i = 0; i < sites_.size(); ++i) channels_.emplace_back(options);
-  }
-
-  /// Aggregated sender-side accounting of the compression channels.
+  /// Aggregated sender-side accounting of the per-site channels.
   CompressionStats compression_stats() const {
     CompressionStats total;
-    for (const Channel& ch : channels_) {
-      const CompressionStats& s = ch.sender.stats();
-      total.full_images += s.full_images;
-      total.delta_images += s.delta_images;
-      total.rlz_images += s.rlz_images;
-      total.wire_bytes += s.wire_bytes;
-      total.raw_bytes += s.raw_bytes;
-    }
+    for (const Channel& ch : channels_) total += ch.sender.stats();
     return total;
   }
 
-  /// Flat §5.3 aggregation: every site ships its serialized sketch to the
-  /// coordinator (n messages at exact wire size; payload-carrying
-  /// transports deliver the bytes verbatim), which merges them
-  /// order-preservingly with window error parameter `eps_prime_sw`
-  /// (defaults to the sites' own ε_sw). With EnableCompression the
-  /// shipped images are delta/RLZ-compressed against the previous
-  /// collect and decoded back through the receiver channels.
+  /// Ships site `site`'s sketch through its channel and returns the
+  /// decoded sketch the receiver now holds (valid until the site's next
+  /// Ship). A stale-base rejection — e.g. the first image after a
+  /// channel reset — resyncs once with a full snapshot. Touches only
+  /// this site's sketch and channel plus the thread-safe Transport, so
+  /// the ParallelIngest worker owning the site may call it.
+  Result<const EcmSketch<Counter>*> Ship(int site) {
+    Channel& ch = channels_[static_cast<size_t>(site)];
+    const Site<Counter>& s = sites_[static_cast<size_t>(site)];
+    auto send = [&] {
+      SketchWireImage img = ch.sender.Ship(s.sketch());
+      transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
+                       img.bytes.size());
+      return ch.receiver.Receive(img.kind, img.bytes.data(),
+                                 img.bytes.size());
+    };
+    auto decoded = send();
+    if (!decoded.ok() && decoded.status().code() == StatusCode::kStaleBase) {
+      ch.sender.Reset();
+      decoded = send();
+    }
+    return decoded;
+  }
+
+  /// Flat §5.3 aggregation: Ship every site (n messages), then merge the
+  /// decoded sketches order-preservingly with window error parameter
+  /// `eps_prime_sw` (defaults to the sites' own ε_sw).
   Result<EcmSketch<Counter>> CollectAndMerge(double eps_prime_sw = -1.0,
-                                             uint64_t seed = 0) const {
+                                             uint64_t seed = 0) {
     const double eps = eps_prime_sw > 0.0 ? eps_prime_sw : config_.epsilon_sw;
     std::vector<const EcmSketch<Counter>*> ptrs;
     ptrs.reserve(sites_.size());
-    if (!channels_.empty()) {
-      for (size_t i = 0; i < sites_.size(); ++i) {
-        auto decoded = ShipThroughChannel(i);
-        if (!decoded.ok()) return decoded.status();
-        ptrs.push_back(*decoded);
-      }
-      return EcmSketch<Counter>::Merge(ptrs, eps, seed);
-    }
-    for (const auto& s : sites_) {
-      const std::vector<uint8_t> wire = SerializeSketch(s.sketch());
-      transport_->Send(s.id(), kCoordinatorNode, wire.data(), wire.size());
-      ptrs.push_back(&s.sketch());
+    for (int i = 0; i < num_sites(); ++i) {
+      auto decoded = Ship(i);
+      if (!decoded.ok()) return decoded.status();
+      ptrs.push_back(*decoded);
     }
     return EcmSketch<Counter>::Merge(ptrs, eps, seed);
   }
@@ -144,37 +148,11 @@ class Coordinator {
     SketchReceiver<Counter> receiver;
   };
 
-  /// Ships site `i`'s sketch through its channel and returns the decoded
-  /// (receiver-side) sketch. A stale-base rejection — e.g. the first
-  /// image after a channel reset — resyncs once with a full snapshot.
-  Result<const EcmSketch<Counter>*> ShipThroughChannel(size_t i) const {
-    Channel& ch = channels_[i];
-    const Site<Counter>& s = sites_[i];
-    SketchWireImage img = ch.sender.Ship(s.sketch());
-    transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
-                     img.bytes.size());
-    auto decoded =
-        ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    if (!decoded.ok() && decoded.status().code() == StatusCode::kStaleBase) {
-      ch.sender.Reset();
-      img = ch.sender.Ship(s.sketch());
-      transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
-                       img.bytes.size());
-      decoded =
-          ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    }
-    if (!decoded.ok()) return decoded.status();
-    return *decoded;
-  }
-
   EcmConfig config_;
   Transport* transport_;
   std::unique_ptr<Transport> owned_transport_;
   std::vector<Site<Counter>> sites_;
-  // Per-site compression channels (empty = uncompressed propagation).
-  // `mutable` because CollectAndMerge is logically const on the sites
-  // but advances the channels' reference chain.
-  mutable std::vector<Channel> channels_;
+  std::vector<Channel> channels_;  ///< one per site, same index
 };
 
 /// The rendezvous point of ParallelIngest: workers drain their shards in

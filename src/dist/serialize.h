@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/core/ecm_sketch.h"
@@ -73,68 +74,78 @@ std::vector<uint8_t> SerializeSketch(const EcmSketch<Counter>& sketch) {
       sketch.CounterAt(j, i).SerializeTo(&payload);
     }
   }
-  ByteWriter out;
-  out.PutRaw(wire_internal::kSketchMagic, sizeof(wire_internal::kSketchMagic));
-  out.PutFixed<uint64_t>(
-      wire_internal::WireChecksum(payload.bytes().data(), payload.size()));
-  out.PutRaw(payload.bytes().data(), payload.size());
-  return out.MoveBytes();
+  return wire_internal::WrapWirePayload(wire_internal::kSketchMagic, payload);
 }
 
-/// Reconstructs a sketch from SerializeSketch bytes. Fails with a
-/// Corruption status on truncation, checksum mismatch, or any malformed
-/// field; never crashes on hostile input.
+namespace wire_internal {
+
+/// Decodes one counter into `*cell`: in place where the counter supports
+/// it (ExponentialHistogram::DecodeFrom), by replacement otherwise.
 template <SlidingWindowCounter Counter>
-Result<EcmSketch<Counter>> DeserializeSketch(const uint8_t* data,
-                                             size_t size) {
-  if (size < wire_internal::kSketchHeaderBytes) {
-    return Status::Corruption("sketch bytes shorter than header");
+Status DecodeCounter(ByteReader* r, Counter* cell) {
+  if constexpr (requires { cell->DecodeFrom(r); }) {
+    return cell->DecodeFrom(r);
+  } else {
+    auto decoded = Counter::Deserialize(r);
+    if (!decoded.ok()) return decoded.status();
+    *cell = std::move(*decoded);
+    return Status::OK();
   }
+}
+
+}  // namespace wire_internal
+
+/// Decodes SerializeSketch bytes into `*out`, in place when it already
+/// holds a sketch of the image's config (a channel receiver's steady
+/// state: no per-cell allocation). Corruption on truncation, checksum
+/// mismatch or any malformed field; never crashes on hostile input. A
+/// failure before the counters leaves `*out` untouched, a later one
+/// empties it.
+template <SlidingWindowCounter Counter>
+Status DeserializeSketchInto(const uint8_t* data, size_t size,
+                             std::optional<EcmSketch<Counter>>* out) {
   ByteReader r(data, size);
-  for (uint8_t expected : wire_internal::kSketchMagic) {
-    auto b = r.GetFixed<uint8_t>();
-    if (!b.ok()) return b.status();
-    if (*b != expected) return Status::Corruption("bad sketch magic");
-  }
-  auto checksum = r.GetFixed<uint64_t>();
-  if (!checksum.ok()) return checksum.status();
-  const uint8_t* body = data + wire_internal::kSketchHeaderBytes;
-  size_t body_size = size - wire_internal::kSketchHeaderBytes;
-  if (wire_internal::WireChecksum(body, body_size) != *checksum) {
-    return Status::Corruption("sketch checksum mismatch");
-  }
+  ECM_RETURN_NOT_OK(wire_internal::CheckWireHeader(
+      data, size, wire_internal::kSketchMagic, &r));
   auto cfg = DeserializeEcmConfig(&r);
   if (!cfg.ok()) return cfg.status();
   auto now = r.GetVarint();
   if (!now.ok()) return now.status();
   auto l1 = r.GetVarint();
   if (!l1.ok()) return l1.status();
-  EcmSketch<Counter> sketch(*cfg);
+  if (!out->has_value() || !((*out)->config() == *cfg)) out->emplace(*cfg);
+  EcmSketch<Counter>& sketch = **out;
   for (int j = 0; j < cfg->depth; ++j) {
     for (uint32_t i = 0; i < cfg->width; ++i) {
-      auto counter = Counter::Deserialize(&r);
-      if (!counter.ok()) return counter.status();
-      sketch.CounterAt(j, i) = std::move(*counter);
+      Status st = wire_internal::DecodeCounter(&r, &sketch.CounterAt(j, i));
+      if (!st.ok()) {
+        out->reset();
+        return st;
+      }
     }
   }
   if (!r.exhausted()) {
+    out->reset();
     return Status::Corruption("trailing bytes after sketch payload");
   }
   sketch.RestoreClock(*now, *l1);
-  return sketch;
+  return Status::OK();
+}
+
+/// Reconstructs a sketch from SerializeSketch bytes (DeserializeSketchInto
+/// into a fresh sketch).
+template <SlidingWindowCounter Counter>
+Result<EcmSketch<Counter>> DeserializeSketch(const uint8_t* data,
+                                             size_t size) {
+  std::optional<EcmSketch<Counter>> sketch;
+  ECM_RETURN_NOT_OK(DeserializeSketchInto(data, size, &sketch));
+  return std::move(*sketch);
 }
 
 template <SlidingWindowCounter Counter>
 Result<EcmSketch<Counter>> DeserializeSketch(
     const std::vector<uint8_t>& bytes) {
   return DeserializeSketch<Counter>(bytes.data(), bytes.size());
-}
-
-/// Exact size of the sketch on the wire — the currency of all
-/// network-transfer accounting.
-template <SlidingWindowCounter Counter>
-size_t SketchWireSize(const EcmSketch<Counter>& sketch) {
-  return SerializeSketch(sketch).size();
 }
 
 /// Header fields of a delta image (ApplySketchDelta reports them so the

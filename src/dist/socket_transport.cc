@@ -255,19 +255,6 @@ SocketTransport::~SocketTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SocketTransport::Send(NodeId from, NodeId to, size_t payload_bytes) {
-  // Accounting-only callers moved the state elsewhere; ship the claimed
-  // volume as zero bytes so the wire really carries it.
-  Frame f;
-  f.type = FrameType::kBlob;
-  f.from = from;
-  f.to = to;
-  f.payload.assign(payload_bytes, 0);
-  payload_messages_.fetch_add(1, std::memory_order_relaxed);
-  payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  (void)EnqueueFramed(std::move(f));
-}
-
 void SocketTransport::Send(NodeId from, NodeId to, const uint8_t* data,
                            size_t size) {
   Frame f;
@@ -593,6 +580,7 @@ SocketTransport::FaultCounters SocketTransport::fault_counters() const {
 struct CoordinatorServer::Connection {
   int fd = -1;
   NodeId node = kCoordinatorNode;  ///< unknown until kHello
+  uint32_t join = 0;  ///< the node's join number this hello registered
   std::thread reader;
 };
 
@@ -690,7 +678,9 @@ void CoordinatorServer::ReaderLoop(Connection* conn) {
         // Malformed stream: drop the connection; the site shows as down
         // until it reconnects with a fresh hello.
         corrupt_streams_.fetch_add(1, std::memory_order_relaxed);
-        if (conn->node != kCoordinatorNode) MarkDown(conn->node);
+        if (conn->node != kCoordinatorNode) {
+          MarkDown(conn->node, conn->join);
+        }
         ::shutdown(conn->fd, SHUT_RDWR);
         return;
       }
@@ -734,6 +724,7 @@ void CoordinatorServer::ReaderLoop(Connection* conn) {
             st->done = false;
             st->last_seen_ms = now_ms;
             conn->node = frame.from;
+            conn->join = st->joins;
           }
         } else {
           is_app_frame = frame.type != FrameType::kHeartbeat;
@@ -774,7 +765,9 @@ void CoordinatorServer::ReaderLoop(Connection* conn) {
     }
   }
   // EOF after kDone is a clean exit; anything else is a crash.
-  if (conn->node != kCoordinatorNode && !clean_done) MarkDown(conn->node);
+  if (conn->node != kCoordinatorNode && !clean_done) {
+    MarkDown(conn->node, conn->join);
+  }
 }
 
 void CoordinatorServer::SweeperLoop() {
@@ -795,10 +788,11 @@ void CoordinatorServer::SweeperLoop() {
   }
 }
 
-void CoordinatorServer::MarkDown(NodeId node) {
+void CoordinatorServer::MarkDown(NodeId node, uint32_t join) {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& s : sites_) {
-    if (s->node == node && s->health == SiteHealth::kUp && !s->done) {
+    if (s->node == node && s->joins == join &&
+        s->health == SiteHealth::kUp && !s->done) {
       s->health = SiteHealth::kDown;
       downs_.fetch_add(1, std::memory_order_relaxed);
     }

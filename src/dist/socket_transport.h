@@ -71,7 +71,7 @@ enum class FrameType : uint8_t {
   kHeartbeat = 2,  ///< liveness beacon (empty payload)
   kSketch = 3,     ///< serialized EcmSketch snapshot (dist/serialize bytes)
   kVector = 4,     ///< statistics vector (geometric-monitor sync)
-  kBlob = 5,       ///< opaque payload (accounting parity with loopback)
+  kBlob = 5,       ///< opaque payload of a Transport::Send
   kDone = 6,       ///< site finished its shard; payload = final snapshot
   kSketchDelta = 7,  ///< dirty-cell delta image ("ECMD", dist/serialize.h)
   kSketchRlz = 8,    ///< reference-compressed image ("ECMZ", dist/compress.h)
@@ -127,8 +127,8 @@ class FrameDecoder {
 /// TCP-backed Transport: connects to a CoordinatorServer and ships real
 /// frames with async batched sends and bounded-queue backpressure. All
 /// send entry points are thread-safe (ParallelIngest workers may share
-/// one transport); the Transport::Send overrides never block the caller
-/// beyond the backpressure bound and record failures in status().
+/// one transport); the Transport::Send override never blocks the caller
+/// beyond the backpressure bound and records failures in status().
 class SocketTransport final : public Transport {
  public:
   struct Options {
@@ -173,13 +173,7 @@ class SocketTransport final : public Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// Accounting-only send (size known, state moved elsewhere): ships a
-  /// kBlob frame of `payload_bytes` zero bytes so the claimed volume
-  /// really crosses the wire, and charges NetworkStats exactly like
-  /// LoopbackTransport does.
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
-
-  /// Payload-carrying send: frames `data` as kBlob and ships it.
+  /// Frames `data` as kBlob and ships it.
   void Send(NodeId from, NodeId to, const uint8_t* data,
             size_t size) override;
 
@@ -382,8 +376,10 @@ class CoordinatorServer {
   void ReaderLoop(Connection* conn);
   void SweeperLoop();
 
-  /// Marks `node` down if currently up; counts the transition.
-  void MarkDown(NodeId node);
+  /// Marks `node` down if currently up and still on join number `join`
+  /// (the EOF of a connection a newer hello superseded changes nothing);
+  /// counts the transition.
+  void MarkDown(NodeId node, uint32_t join);
 
   const Options options_;
   FrameHandler handler_;

@@ -2,20 +2,16 @@
 // path): every site→coordinator or site→site transfer of the aggregation
 // tree, the scheduled propagator and the geometric monitors goes through
 // one Transport, so all three substrates charge the same NetworkStats
-// currency — payload bytes as priced by dist/serialize.h wire encodings
-// (sketches) or fixed64 statistics vectors (geometric syncs).
+// currency — payload bytes of dist/serialize.h wire images (sketches) or
+// raw double vectors (geometric syncs).
 //
-// Transport has two send forms that charge the same currency:
-//  * Send(from, to, payload_bytes) — accounting-only, for substrates that
-//    deliver state by reference inside one process and only need the wire
-//    cost charged (the experimentally meaningful effect for Fig. 5/6,
-//    Table 4);
-//  * Send(from, to, data, size)    — payload-carrying: implementations
-//    that really move bytes (dist/socket_transport.h) ship `data`
-//    verbatim, while the in-process LoopbackTransport just counts it.
-// Both forms charge exactly `size` payload bytes, so loopback and socket
-// runs of the same propagation script produce identical NetworkStats —
-// the one-accounting-currency invariant.
+// Transport has one send form, Send(from, to, data, size), and every
+// caller ships the real bytes of its message through it. Implementations
+// that move bytes between processes (dist/socket_transport.h) put `data`
+// on the wire verbatim; the in-process LoopbackTransport only counts it.
+// Either way a message costs exactly `size` payload bytes, so loopback
+// and socket runs of the same propagation script produce identical
+// NetworkStats — the one-accounting-currency invariant.
 
 #ifndef ECM_DIST_TRANSPORT_H_
 #define ECM_DIST_TRANSPORT_H_
@@ -42,42 +38,29 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Ships one message of `payload_bytes` from `from` to `to`.
-  virtual void Send(NodeId from, NodeId to, size_t payload_bytes) = 0;
-
-  /// Ships one message carrying `size` payload bytes. Implementations
-  /// that move real bytes deliver `data` verbatim; the default charges
-  /// the accounting-only form, so both forms always cost the same.
+  /// Ships one message carrying the `size` payload bytes at `data`.
+  /// Implementations that move real bytes deliver them verbatim.
   virtual void Send(NodeId from, NodeId to, const uint8_t* data,
-                    size_t size) {
-    (void)data;
-    Send(from, to, size);
-  }
+                    size_t size) = 0;
 
   /// Cumulative transfer volume across every message ever sent.
   virtual NetworkStats stats() const = 0;
 };
 
-/// In-process transport: delivery is instantaneous (state moves by
-/// reference inside the runtime), so the observable effect is the
-/// accounting. Counters are atomic — one LoopbackTransport may be shared
-/// by all substrates of a run and by all ParallelIngest workers.
+/// In-process transport: sender and receiver share the process, so the
+/// observable effect is the accounting. Counters are atomic — one
+/// LoopbackTransport may be shared by all substrates of a run and by all
+/// ParallelIngest workers.
 class LoopbackTransport final : public Transport {
  public:
-  using Transport::Send;
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
+  void Send(NodeId from, NodeId to, const uint8_t* data,
+            size_t size) override;
   NetworkStats stats() const override;
 
  private:
   std::atomic<uint64_t> messages_{0};
   std::atomic<uint64_t> bytes_{0};
 };
-
-/// Wire price of shipping a dense statistics vector of `dim` doubles
-/// (geometric-monitor syncs: vectors up, the average back down).
-inline constexpr size_t VectorWireSize(size_t dim) {
-  return dim * sizeof(double);
-}
 
 }  // namespace ecm
 

@@ -41,6 +41,24 @@ class ByteWriter {
     buf_.push_back(static_cast<uint8_t>(v));
   }
 
+  /// Appends `n` varints drawn from `next()` with one resize, instead of
+  /// a capacity check per byte (the bucket-log encoders' hot loop).
+  template <typename Next>
+  void PutVarints(size_t n, Next&& next) {
+    const size_t start = buf_.size();
+    buf_.resize(start + n * 10);  // 10 bytes: the longest uint64 varint
+    uint8_t* p = buf_.data() + start;
+    for (size_t k = 0; k < n; ++k) {
+      uint64_t v = next();
+      while (v >= 0x80) {
+        *p++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+      }
+      *p++ = static_cast<uint8_t>(v);
+    }
+    buf_.resize(static_cast<size_t>(p - buf_.data()));
+  }
+
   /// Appends a signed varint (zigzag).
   void PutSignedVarint(int64_t v) {
     PutVarint((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
@@ -102,6 +120,30 @@ class ByteReader {
       shift += 7;
     }
     return Status::Corruption("truncated or overlong varint");
+  }
+
+  /// Decodes `n` varints into `sink` with the cursor in a register: the
+  /// bucket-log decoders' hot loop, where a Result per value and stores
+  /// that may alias pos_ would each cost a round trip through memory.
+  /// Corruption on truncated or overlong input.
+  template <typename Sink>
+  Status GetVarints(uint64_t n, Sink&& sink) {
+    const uint8_t* p = data_ + pos_;
+    const uint8_t* const end = data_ + size_;
+    for (uint64_t k = 0; k < n; ++k) {
+      uint64_t v = 0;
+      for (int shift = 0;; shift += 7) {
+        if (p == end || shift >= 64) {
+          return Status::Corruption("truncated or overlong varint");
+        }
+        const uint8_t b = *p++;
+        v |= static_cast<uint64_t>(b & 0x7F) << shift;
+        if ((b & 0x80) == 0) break;
+      }
+      sink(v);
+    }
+    pos_ = static_cast<size_t>(p - data_);
+    return Status::OK();
   }
 
   Result<int64_t> GetSignedVarint() {

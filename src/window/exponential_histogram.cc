@@ -1,6 +1,7 @@
 #include "src/window/exponential_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 
@@ -280,16 +281,28 @@ void ExponentialHistogram::SerializeTo(ByteWriter* w) const {
   w->PutVarint(NumLevels());
   for (size_t i = 0; i < NumLevels(); ++i) {
     w->PutVarint(level_count_[i]);
+    // Front-to-back end stamps ascend: ship the gaps.
+    const std::vector<Bucket>& slots = level_slots_[i];
+    size_t idx = level_head_[i];
     Timestamp prev = 0;
-    for (uint32_t j = 0; j < level_count_[i]; ++j) {
-      w->PutVarint(At(i, j).end - prev);  // front-to-back end stamps ascend
-      prev = At(i, j).end;
-    }
+    w->PutVarints(level_count_[i], [&] {
+      const Timestamp end = slots[idx].end;
+      if (++idx == slots.size()) idx = 0;
+      const Timestamp gap = end - prev;
+      prev = end;
+      return gap;
+    });
   }
 }
 
 Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
     ByteReader* r) {
+  ExponentialHistogram eh;
+  ECM_RETURN_NOT_OK(eh.DecodeFrom(r));
+  return eh;
+}
+
+Status ExponentialHistogram::DecodeFrom(ByteReader* r) {
   auto magic = r->GetFixed<uint8_t>();
   if (!magic.ok()) return magic.status();
   if (*magic != kEhMagic) {
@@ -302,45 +315,65 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
   if (!(*epsilon > 0.0) || *epsilon > 1.0 || *window == 0) {
     return Status::Corruption("exponential-histogram header out of domain");
   }
-  ExponentialHistogram eh(Config{*epsilon, *window});
+  if (*epsilon != epsilon_ || *window != window_len_) {
+    *this = ExponentialHistogram(Config{*epsilon, *window});
+  }
 
   auto expired_end = r->GetVarint();
   if (!expired_end.ok()) return expired_end.status();
-  eh.expired_end_ = *expired_end;
+  expired_end_ = *expired_end;
   auto lifetime = r->GetVarint();
   if (!lifetime.ok()) return lifetime.status();
-  eh.lifetime_ = *lifetime;
+  lifetime_ = *lifetime;
   auto last_ts = r->GetVarint();
   if (!last_ts.ok()) return last_ts.status();
-  eh.last_ts_ = *last_ts;
+  last_ts_ = *last_ts;
 
   auto num_levels = r->GetVarint();
   if (!num_levels.ok()) return num_levels.status();
   if (*num_levels > 64) {
     return Status::Corruption("exponential histogram claims > 64 levels");
   }
-  // Segment growth allocates in proportion to buckets actually decoded
-  // (each costs at least one payload byte), so a hostile tiny-epsilon
-  // header cannot request a large allocation up front; the per-level
-  // count bound below rejects over-capacity levels.
-  if (*num_levels > 0) eh.EnsureLevel(*num_levels - 1);
+  if (*num_levels != NumLevels()) {
+    level_head_ = std::vector<uint32_t>(*num_levels);
+    level_count_ = std::vector<uint32_t>(*num_levels);
+    level_slots_ = std::vector<std::vector<Bucket>>(*num_levels);
+  }
+  top_level_ = 0;
+  num_buckets_ = 0;
+  total_ = 0;
   for (size_t i = 0; i < *num_levels; ++i) {
     auto count = r->GetVarint();
     if (!count.ok()) return count.status();
-    if (*count >= eh.level_capacity_) {
+    if (*count >= level_capacity_) {
       return Status::Corruption("exponential histogram level over capacity");
     }
-    Timestamp prev = 0;
-    for (uint64_t j = 0; j < *count; ++j) {
-      auto delta = r->GetVarint();
-      if (!delta.ok()) return delta.status();
-      prev += *delta;
-      eh.PushBack(i, Bucket{prev});
-      ++eh.num_buckets_;
-      eh.total_ += 1ULL << i;
+    // Each bucket costs at least one payload byte, so a hostile
+    // tiny-epsilon header cannot size a segment past the input.
+    if (*count > r->remaining()) {
+      return Status::Corruption("exponential histogram level truncated");
     }
+    // The segment Grow would have reached pushing `count` buckets.
+    const size_t segment =
+        *count == 0 ? 0
+                    : std::min<size_t>(std::bit_ceil(std::max<uint64_t>(
+                                           *count, 8)),
+                                       level_capacity_ + 1);
+    std::vector<Bucket>& slots = level_slots_[i];
+    if (slots.size() != segment) slots = std::vector<Bucket>(segment);
+    level_head_[i] = 0;
+    level_count_[i] = static_cast<uint32_t>(*count);
+    Bucket* next = slots.data();
+    Timestamp prev = 0;
+    ECM_RETURN_NOT_OK(r->GetVarints(*count, [&](uint64_t gap) {
+      prev += gap;
+      *next++ = Bucket{prev};
+    }));
+    if (*count > 0) top_level_ = i;
+    num_buckets_ += *count;
+    total_ += *count << i;
   }
-  return eh;
+  return Status::OK();
 }
 
 }  // namespace ecm

@@ -152,6 +152,11 @@ class ExponentialHistogram {
   /// Decodes a histogram previously written by SerializeTo.
   static Result<ExponentialHistogram> Deserialize(ByteReader* r);
 
+  /// Deserialize into this histogram, reusing each level segment that
+  /// already has its fresh-decode size (MemoryBytes matches). A failed
+  /// decode leaves a partial state to re-decode or discard.
+  Status DecodeFrom(ByteReader* r);
+
  private:
   struct Bucket {
     Timestamp end;  // timestamp of the newest 1-bit in the bucket

@@ -494,6 +494,39 @@ TEST(SketchChannelTest, DuplicateDeliveryIdempotentDeltaRw) {
   DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kDelta);
 }
 
+TEST(SketchChannelTest, CorruptedDuplicateRejectsInsteadOfAbsorbing) {
+  // A retransmit whose payload was damaged in flight keeps the header of
+  // the image just applied; it must fail as corruption, not pass as a
+  // duplicate, and leave the applied state alone.
+  for (CompressionMode mode : {CompressionMode::kFull, CompressionMode::kDelta,
+                               CompressionMode::kRlz}) {
+    CompressionOptions opts;
+    opts.mode = mode;
+    SketchSender<ExponentialHistogram> sender(opts);
+    SketchReceiver<ExponentialHistogram> receiver(opts);
+    auto local = MakeSketch<ExponentialHistogram>();
+    Timestamp ts = 1;
+    Feed(&local, 300, 102, &ts);
+    SketchWireImage img = sender.Ship(local);
+    ASSERT_TRUE(
+        receiver.Receive(img.kind, img.bytes.data(), img.bytes.size()).ok());
+    Feed(&local, 40, 103, &ts);
+    img = sender.Ship(local);
+    ASSERT_TRUE(
+        receiver.Receive(img.kind, img.bytes.data(), img.bytes.size()).ok());
+    const std::vector<uint8_t> settled = SerializeSketch(*receiver.sketch());
+
+    std::vector<uint8_t> damaged = img.bytes;
+    damaged.back() ^= 0x01;
+    auto got = receiver.Receive(img.kind, damaged.data(), damaged.size());
+    ASSERT_FALSE(got.ok()) << SketchWireKindName(img.kind);
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(receiver.duplicates_absorbed(), 0u);
+    ASSERT_NE(receiver.sketch(), nullptr);
+    EXPECT_EQ(SerializeSketch(*receiver.sketch()), settled);
+  }
+}
+
 TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
   // Only the *immediately preceding* image is absorbed as a duplicate; a
   // replay from further back is a stale base and must reject without

@@ -49,9 +49,10 @@ std::vector<StreamEvent> ZipfEvents(size_t n, uint32_t sites, uint64_t seed,
 
 TEST(LoopbackTransportTest, CountsMessagesAndBytes) {
   LoopbackTransport t;
-  t.Send(0, kCoordinatorNode, 100);
-  t.Send(1, kCoordinatorNode, 28);
-  t.Send(kCoordinatorNode, 1, 0);
+  const std::vector<uint8_t> payload(100, 0x5A);
+  t.Send(0, kCoordinatorNode, payload.data(), 100);
+  t.Send(1, kCoordinatorNode, payload.data(), 28);
+  t.Send(kCoordinatorNode, 1, payload.data(), 0);
   NetworkStats s = t.stats();
   EXPECT_EQ(s.messages, 3u);
   EXPECT_EQ(s.bytes, 128u);
@@ -64,7 +65,10 @@ TEST(LoopbackTransportTest, ConcurrentSendsAllLand) {
   std::vector<std::thread> pool;
   for (int w = 0; w < kThreads; ++w) {
     pool.emplace_back([&t, w] {
-      for (int i = 0; i < kSends; ++i) t.Send(w, kCoordinatorNode, 3);
+      const uint8_t payload[3] = {1, 2, 3};
+      for (int i = 0; i < kSends; ++i) {
+        t.Send(w, kCoordinatorNode, payload, sizeof(payload));
+      }
     });
   }
   for (auto& th : pool) th.join();
@@ -109,7 +113,7 @@ TEST(CoordinatorTest, CollectAndMergeChargesExactWireBytes) {
   }
   uint64_t expected_bytes = 0;
   for (int i = 0; i < 3; ++i) {
-    expected_bytes += SketchWireSize(coord.site(i).sketch());
+    expected_bytes += SerializeSketch(coord.site(i).sketch()).size();
   }
   auto merged = coord.CollectAndMerge();
   ASSERT_TRUE(merged.ok());
@@ -132,10 +136,9 @@ TEST(CoordinatorTest, CompressedCollectMatchesUncompressedBitForBit) {
   EcmConfig cfg = SketchCfg(7, OptimizeFor::kPointQueries);
   LoopbackTransport t_plain, t_comp;
   Coordinator<ExponentialHistogram> plain(3, cfg, &t_plain);
-  Coordinator<ExponentialHistogram> comp(3, cfg, &t_comp);
   CompressionOptions copts;
   copts.mode = CompressionMode::kAuto;
-  comp.EnableCompression(copts);
+  Coordinator<ExponentialHistogram> comp(3, cfg, &t_comp, copts);
 
   // Several collect rounds: after the first, the channels ship delta/RLZ
   // images, and the merged views must stay identical to the
@@ -210,7 +213,7 @@ TEST(TransportAccountingTest, PeriodicPushesChargeExactSnapshotWire) {
     mirror[e.node].Add(e.key, e.ts);
     if (agg.Process(static_cast<int>(e.node), e.key, e.ts)) {
       ++legacy.messages;
-      legacy.bytes += SketchWireSize(mirror[e.node]);
+      legacy.bytes += SerializeSketch(mirror[e.node]).size();
     }
   }
   EXPECT_GT(legacy.messages, 10u);

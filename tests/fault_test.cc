@@ -30,24 +30,18 @@ class RecordingTransport final : public Transport {
   struct Message {
     NodeId from = 0;
     NodeId to = 0;
-    bool accounting_only = false;
-    std::vector<uint8_t> bytes;  ///< empty for accounting-only sends
-    size_t payload_bytes = 0;
+    std::vector<uint8_t> bytes;
   };
 
-  using Transport::Send;
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override {
-    messages.push_back(Message{from, to, true, {}, payload_bytes});
-  }
   void Send(NodeId from, NodeId to, const uint8_t* data,
             size_t size) override {
-    messages.push_back(Message{
-        from, to, false, std::vector<uint8_t>(data, data + size), size});
+    messages.push_back(
+        Message{from, to, std::vector<uint8_t>(data, data + size)});
   }
   NetworkStats stats() const override {
     NetworkStats s;
     s.messages = messages.size();
-    for (const auto& m : messages) s.bytes += m.payload_bytes;
+    for (const auto& m : messages) s.bytes += m.bytes.size();
     return s;
   }
 
@@ -59,9 +53,7 @@ bool SameMessages(const std::vector<RecordingTransport::Message>& a,
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].from != b[i].from || a[i].to != b[i].to ||
-        a[i].accounting_only != b[i].accounting_only ||
-        a[i].bytes != b[i].bytes ||
-        a[i].payload_bytes != b[i].payload_bytes) {
+        a[i].bytes != b[i].bytes) {
       return false;
     }
   }
@@ -286,9 +278,9 @@ TEST(FaultInjectingTransportTest, DropsNeverReachInnerButAreCharged) {
   FaultPlan plan(cfg);
   RecordingTransport inner;
   FaultInjectingTransport t(&inner, &plan);
-  const std::vector<uint8_t> payload{1, 2, 3};
-  t.Send(0, kCoordinatorNode, payload.data(), payload.size());
-  t.Send(0, kCoordinatorNode, size_t{7});
+  const std::vector<uint8_t> payload{1, 2, 3, 4, 5, 6, 7};
+  t.Send(0, kCoordinatorNode, payload.data(), 3);
+  t.Send(0, kCoordinatorNode, payload.data(), 7);
   t.FlushDelayed();
   EXPECT_TRUE(inner.messages.empty());
   // Offered-traffic accounting still sees both sends.
@@ -332,10 +324,6 @@ TEST(FaultInjectingTransportTest, CorruptFlipsExactlyOneBit) {
   }
   EXPECT_EQ(flipped_bits, 1);
   EXPECT_EQ(t.injection_stats().corrupts, 1u);
-  // Accounting-only sends carry no bytes: they pass through unfaulted.
-  t.Send(0, kCoordinatorNode, size_t{5});
-  EXPECT_TRUE(inner.messages.back().accounting_only);
-  EXPECT_EQ(inner.messages.back().payload_bytes, 5u);
 }
 
 TEST(FaultInjectingTransportTest, DelayReordersButNeverLoses) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+
 #include "src/stream/generators.h"
 #include "src/util/random.h"
 
@@ -164,6 +167,76 @@ TEST(SerializeSketchTest, TruncationRejected) {
   EXPECT_FALSE(DeserializeSketch<ExponentialHistogram>(bytes).ok());
 }
 
+// A propagation receiver decodes each image into the sketch it already
+// holds. The result must be the fresh decode in every observable way:
+// the same answers, the same re-serialized bytes and the same memory.
+TEST(SerializeSketchTest, DecodeIntoHeldSketchMatchesFreshDecode) {
+  auto sketch = EcmEh::Create(0.1, 0.1, WindowMode::kTimeBased, 50000, 11);
+  ASSERT_TRUE(sketch.ok());
+  std::optional<EcmEh> held;
+  ZipfStream::Config zc;
+  zc.domain = 500;
+  zc.seed = 5;
+  ZipfStream stream(zc);
+  // Growing, then sliding: levels fill, grow segments and empty again.
+  for (int round = 0; round < 12; ++round) {
+    for (const auto& e : stream.Take(round < 6 ? 3000 : 300)) {
+      sketch->Add(e.key, e.ts + static_cast<Timestamp>(round) * 20000);
+    }
+    const std::vector<uint8_t> bytes = SerializeSketch(*sketch);
+    ASSERT_TRUE(DeserializeSketchInto(bytes.data(), bytes.size(), &held).ok());
+    auto fresh = DeserializeSketch<ExponentialHistogram>(bytes);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(SerializeSketch(*held), bytes) << "round " << round;
+    EXPECT_EQ(held->MemoryBytes(), fresh->MemoryBytes()) << "round " << round;
+    for (uint64_t key = 0; key < 500; key += 17) {
+      EXPECT_EQ(held->PointQuery(key, 50000), fresh->PointQuery(key, 50000));
+    }
+  }
+
+  // An image of another config replaces the held sketch outright.
+  auto other = EcmEh::Create(0.2, 0.1, WindowMode::kTimeBased, 1000, 3);
+  ASSERT_TRUE(other.ok());
+  FillSketch<ExponentialHistogram>(&*other, 500, 4);
+  const std::vector<uint8_t> other_bytes = SerializeSketch(*other);
+  ASSERT_TRUE(DeserializeSketchInto(other_bytes.data(), other_bytes.size(),
+                                    &held)
+                  .ok());
+  EXPECT_TRUE(held->config() == other->config());
+  EXPECT_EQ(SerializeSketch(*held), other_bytes);
+}
+
+TEST(SerializeSketchTest, DecodeIntoFailureLeavesHeldSketchOrEmptiesIt) {
+  auto sketch = EcmEh::Create(0.1, 0.1, WindowMode::kTimeBased, 50000, 13);
+  ASSERT_TRUE(sketch.ok());
+  FillSketch<ExponentialHistogram>(&*sketch, 2000, 6);
+  const std::vector<uint8_t> bytes = SerializeSketch(*sketch);
+  std::optional<EcmEh> held;
+  ASSERT_TRUE(DeserializeSketchInto(bytes.data(), bytes.size(), &held).ok());
+
+  // A flipped payload bit fails the checksum before any counter is
+  // touched: the held sketch survives unchanged.
+  std::vector<uint8_t> flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x10;
+  EXPECT_EQ(DeserializeSketchInto(flipped.data(), flipped.size(), &held).code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(SerializeSketch(*held), bytes);
+
+  // A well-checksummed image whose counters are malformed fails mid-way
+  // and empties the held sketch rather than leaving a partial decode.
+  std::vector<uint8_t> malformed = bytes;
+  malformed.push_back(0);  // trailing byte after the last counter
+  const uint64_t checksum = wire_internal::WireChecksum(
+      malformed.data() + wire_internal::kSketchHeaderBytes,
+      malformed.size() - wire_internal::kSketchHeaderBytes);
+  std::memcpy(malformed.data() + 4, &checksum, sizeof(checksum));
+  EXPECT_EQ(
+      DeserializeSketchInto(malformed.data(), malformed.size(), &held).code(),
+      StatusCode::kCorruption);
+  EXPECT_FALSE(held.has_value());
+}
+
 TEST(SerializeSketchTest, WireSizeOrdersOfMagnitude) {
   // The paper's headline resource result: at equal epsilon, the RW sketch
   // is at least an order of magnitude bigger on the wire than EH.
@@ -174,8 +247,8 @@ TEST(SerializeSketchTest, WireSizeOrdersOfMagnitude) {
   ASSERT_TRUE(eh.ok() && rw.ok());
   FillSketch<ExponentialHistogram>(&*eh, 30000, 4);
   FillSketch<RandomizedWave>(&*rw, 30000, 4);
-  size_t eh_bytes = SketchWireSize(*eh);
-  size_t rw_bytes = SketchWireSize(*rw);
+  size_t eh_bytes = SerializeSketch(*eh).size();
+  size_t rw_bytes = SerializeSketch(*rw).size();
   EXPECT_GT(rw_bytes, eh_bytes * 10) << "EH=" << eh_bytes
                                      << " RW=" << rw_bytes;
 }
@@ -183,7 +256,7 @@ TEST(SerializeSketchTest, WireSizeOrdersOfMagnitude) {
 TEST(SerializeSketchTest, EmptySketchHasSmallWire) {
   auto sketch = EcmEh::Create(0.1, 0.1, WindowMode::kTimeBased, 1000, 1);
   ASSERT_TRUE(sketch.ok());
-  EXPECT_LT(SketchWireSize(*sketch), 4096u);
+  EXPECT_LT(SerializeSketch(*sketch).size(), 4096u);
 }
 
 }  // namespace

@@ -308,6 +308,42 @@ TEST(BytesTest, OverlongVarintFails) {
   EXPECT_FALSE(r.GetVarint().ok());
 }
 
+TEST(BytesTest, BulkVarintsMatchSingleVarints) {
+  const std::vector<uint64_t> values = {0, 1, 127, 128, 300, 1ULL << 35,
+                                        ~0ULL, 42};
+  ByteWriter one;
+  one.PutVarint(7);
+  for (uint64_t v : values) one.PutVarint(v);
+  ByteWriter bulk;
+  bulk.PutVarint(7);  // appends after the bytes already written
+  size_t k = 0;
+  bulk.PutVarints(values.size(), [&] { return values[k++]; });
+  EXPECT_EQ(bulk.bytes(), one.bytes());
+  bulk.PutVarints(0, [] { return uint64_t{1}; });
+  EXPECT_EQ(bulk.bytes(), one.bytes());
+}
+
+TEST(BytesTest, BulkVarintReadsMatchSingleReads) {
+  const std::vector<uint64_t> values = {0, 1, 127, 128, 300, ~0ULL, 42};
+  ByteWriter w;
+  for (uint64_t v : values) w.PutVarint(v);
+  ByteReader r(w.bytes());
+  std::vector<uint64_t> got;
+  ASSERT_TRUE(
+      r.GetVarints(values.size(), [&](uint64_t v) { got.push_back(v); }).ok());
+  EXPECT_EQ(got, values);
+  EXPECT_TRUE(r.exhausted());
+
+  std::vector<uint8_t> truncated = w.bytes();
+  truncated.pop_back();  // the last varint loses its only byte
+  ByteReader t(truncated);
+  EXPECT_EQ(t.GetVarints(values.size(), [](uint64_t) {}).code(),
+            StatusCode::kCorruption);
+  const std::vector<uint8_t> overlong(11, 0x80);
+  ByteReader o(overlong);
+  EXPECT_FALSE(o.GetVarints(1, [](uint64_t) {}).ok());
+}
+
 TEST(BytesTest, VarintLengthMatchesEncoding) {
   for (uint64_t v : {0ULL, 127ULL, 128ULL, 300ULL, ~0ULL}) {
     ByteWriter w;
