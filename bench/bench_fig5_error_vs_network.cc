@@ -114,7 +114,7 @@ void Run() {
   // Bytes-on-wire at the Fig-5 operating point under continuous sync:
   // the same ECM-EH sites (wc'98, eps=0.05), but instead of one final
   // aggregation the sites push periodically and each push ships through
-  // the delta/RLZ channel (dist/compress.h). This is the steady-state
+  // the RLZ channel (dist/compress.h). This is the steady-state
   // cost the one-shot tree numbers above do not show.
   {
     auto events = LoadDataset(Dataset::kWc98, kEvents);
@@ -125,10 +125,9 @@ void Run() {
     PrintHeader(
         "Fig 5 extension: steady-state periodic sync, bytes-on-wire per "
         "compression mode (wc98, eps=0.05, period=2000)",
-        {"mode", "pushes", "full/delta/rlz", "wire_bytes", "vs_full"});
+        {"mode", "pushes", "full/rlz", "wire_bytes", "vs_full"});
     const std::pair<const char*, CompressionMode> kModes[] = {
         {"full", CompressionMode::kFull},
-        {"delta", CompressionMode::kDelta},
         {"rlz", CompressionMode::kRlz},
         {"auto", CompressionMode::kAuto},
     };
@@ -149,7 +148,6 @@ void Run() {
                         static_cast<double>(wire));
       PrintRow({name, std::to_string(agg.stats().pushes),
                 std::to_string(cs.full_images) + "/" +
-                    std::to_string(cs.delta_images) + "/" +
                     std::to_string(cs.rlz_images),
                 std::to_string(wire),
                 FormatDouble(full_wire > 0
@@ -161,8 +159,7 @@ void Run() {
     }
     std::printf(
         "expected shape: rlz/auto cut steady-state bytes-on-wire by >=2x "
-        "vs full snapshots (the CI gate holds this line); delta wins only "
-        "when per-period increments touch few cells\n");
+        "vs full snapshots (the CI gate holds this line)\n");
   }
 }
 

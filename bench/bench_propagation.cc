@@ -95,18 +95,16 @@ void Run() {
       "plus one staleness quantum of window content\n");
 
   // Wire compression: the same periodic schedule with pushes routed
-  // through the delta/RLZ channel (dist/compress.h). wire_bytes is what
+  // through the RLZ channel (dist/compress.h). wire_bytes is what
   // actually ships; raw_bytes is what the same pushes cost as full
   // snapshots. Every decoded image is verified bit-identical inside the
   // channel, so the error columns above are unchanged by construction.
   PrintHeader(
-      "Wire compression: steady-state periodic pushes, full vs delta vs "
-      "RLZ vs auto (8 sites, period=2000)",
-      {"mode", "pushes", "full/delta/rlz", "wire_bytes", "raw_bytes",
-       "ratio"});
+      "Wire compression: steady-state periodic pushes, full vs RLZ vs "
+      "auto (8 sites, period=2000)",
+      {"mode", "pushes", "full/rlz", "wire_bytes", "raw_bytes", "ratio"});
   const std::pair<const char*, CompressionMode> kModes[] = {
       {"full", CompressionMode::kFull},
-      {"delta", CompressionMode::kDelta},
       {"rlz", CompressionMode::kRlz},
       {"auto", CompressionMode::kAuto},
   };
@@ -120,7 +118,6 @@ void Run() {
     const uint64_t wire = cs.wire_bytes;
     const uint64_t raw = cs.raw_bytes;
     const std::string mix = std::to_string(cs.full_images) + "/" +
-                            std::to_string(cs.delta_images) + "/" +
                             std::to_string(cs.rlz_images);
     RecordBenchResult(std::string("prop/compress/") + name,
                       /*events_per_sec=*/0.0,
@@ -133,10 +130,47 @@ void Run() {
                            3)});
   }
   std::printf(
-      "expected shape: delta/RLZ/auto wire_bytes well under the full "
-      "row (>=2x in steady state); the frame mix shows full images only "
-      "at stream start (and wherever the compressed form would exceed "
-      "the fallback threshold)\n");
+      "expected shape: RLZ/auto wire_bytes well under the full row "
+      "(>=2x in steady state); the frame mix shows full images only at "
+      "stream start (and wherever the compressed form would exceed the "
+      "fallback threshold)\n");
+
+  // Ship cost: kAuto SketchSender::Ship calls per second on one site
+  // sketch past its warm-up half of the trace, with a slice of the trace
+  // ingested between ships. Only the Ship calls are timed.
+  PrintHeader("Ship cost: kAuto SketchSender::Ship on a steady-state sketch",
+              {"ships", "ships/s", "us/ship", "avg_raw_bytes",
+               "avg_wire_bytes"});
+  {
+    EcmSketch<ExponentialHistogram> sketch(*scfg);
+    SketchSender<ExponentialHistogram> sender;
+    const size_t warm = events.size() / 2;
+    const size_t per_ship = std::max<size_t>(events.size() / 400, 1);
+    for (size_t i = 0; i < warm; ++i) sketch.Add(events[i].key, events[i].ts);
+    (void)sender.Ship(sketch);  // the full image that primes the channel
+    uint64_t ships = 0;
+    double seconds = 0.0;
+    for (size_t i = warm; i < events.size(); ++i) {
+      sketch.Add(events[i].key, events[i].ts);
+      if ((i - warm + 1) % per_ship != 0) continue;
+      Timer timer;
+      (void)sender.Ship(sketch);
+      seconds += timer.ElapsedSeconds();
+      ++ships;
+    }
+    const double rate =
+        seconds > 0 ? static_cast<double>(ships) / seconds : 0.0;
+    const CompressionStats& cs = sender.stats();
+    const uint64_t n = ships + 1;  // stats include the priming ship
+    RecordBenchResult("prop/compress/ship", rate);
+    PrintRow({std::to_string(ships), FormatDouble(rate, 0),
+              FormatDouble(rate > 0 ? 1e6 / rate : 0.0, 1),
+              std::to_string(cs.raw_bytes / n),
+              std::to_string(cs.wire_bytes / n)});
+  }
+  std::printf(
+      "expected shape: us/ship linear in avg_raw_bytes (serialize, index "
+      "the reference and scan the image once each)\n");
 
   // Sharded multi-threaded ingest: scheduled propagation is site-local,
   // so ParallelIngest needs no sync barrier at all — pushes ship through

@@ -67,7 +67,7 @@ struct Flags {
   int node = -1;   // site role: which shard
   int port = 0;    // site role: coordinator port
   uint32_t epoch = 1;
-  bool compress = false;  // ship delta/RLZ frames instead of full snapshots
+  bool compress = false;  // ship RLZ frames instead of full snapshots
 };
 
 Flags ParseFlags(int argc, char** argv) {
@@ -167,8 +167,8 @@ int SiteMain(const Flags& f) {
   // Compressed mode: one sender per (site, coordinator) channel, keyed on
   // the transport's rejoin epoch — polled before every ship, so after an
   // in-transport reconnect the sender re-bases with a full snapshot under
-  // the new epoch and a delta encoded against pre-crash state can never
-  // poison the coordinator's receiver.
+  // the new epoch and an RLZ image encoded against pre-crash state can
+  // never poison the coordinator's receiver.
   CompressionOptions copts;
   copts.mode = CompressionMode::kAuto;
   copts.epoch = f.epoch;
@@ -188,9 +188,7 @@ int SiteMain(const Flags& f) {
     SketchWireImage img = sender.Ship(site.sketch());
     const FrameType type = img.kind == SketchWireKind::kFull
                                ? FrameType::kSketch
-                               : img.kind == SketchWireKind::kDelta
-                                     ? FrameType::kSketchDelta
-                                     : FrameType::kSketchRlz;
+                               : FrameType::kSketchRlz;
     return (*transport)
         ->SendPayload(type, kCoordinatorNode, std::move(img.bytes));
   };
@@ -214,7 +212,7 @@ int SiteMain(const Flags& f) {
     }
   }
   // Compressed runs ship the final state through the channel too, so the
-  // coordinator can check the delta chain decodes bit-identically to the
+  // coordinator can check the RLZ chain decodes bit-identically to the
   // kDone full snapshot.
   if (f.compress && !push_snapshot().ok()) return 1;
   Status s = (*transport)
@@ -290,12 +288,12 @@ int CoordinatorMain(const Flags& f, const char* exe) {
   // Coordinator server: store the latest snapshot per site; kDone marks
   // the final one. Compressed runs additionally decode every frame
   // through a per-site SketchReceiver keyed on the connection's rejoin
-  // epoch (an epoch bump drops the delta base, forcing full resync).
+  // epoch (an epoch bump drops the RLZ base, forcing full resync).
   std::mutex mu;
   std::map<NodeId, std::vector<uint8_t>> final_snapshots;
   std::map<NodeId, uint64_t> snapshots_seen;
   std::map<NodeId, SketchReceiver<ExponentialHistogram>> receivers;
-  uint64_t delta_frames = 0, rlz_frames = 0, full_frames = 0;
+  uint64_t rlz_frames = 0, full_frames = 0;
   uint64_t stale_rejects = 0, decode_failures = 0, chain_mismatches = 0;
   CoordinatorServer* srv = nullptr;  // set right after Start
   CompressionOptions copts;
@@ -313,11 +311,6 @@ int CoordinatorMain(const Flags& f, const char* exe) {
               kind = SketchWireKind::kFull;
               ++full_frames;
               break;
-            case FrameType::kSketchDelta:
-              kind = SketchWireKind::kDelta;
-              ++delta_frames;
-              ++snapshots_seen[frame.from];
-              break;
             case FrameType::kSketchRlz:
               kind = SketchWireKind::kRlz;
               ++rlz_frames;
@@ -328,7 +321,6 @@ int CoordinatorMain(const Flags& f, const char* exe) {
               break;
           }
           if (frame.type == FrameType::kSketch ||
-              frame.type == FrameType::kSketchDelta ||
               frame.type == FrameType::kSketchRlz) {
             auto [it, inserted] = receivers.try_emplace(frame.from, copts);
             SketchReceiver<ExponentialHistogram>& rx = it->second;
@@ -347,14 +339,14 @@ int CoordinatorMain(const Flags& f, const char* exe) {
             }
           }
           if (frame.type == FrameType::kDone) {
-            // The delta chain must have reconstructed exactly the state
+            // The RLZ chain must have reconstructed exactly the state
             // the site snapshots into kDone.
             auto it = receivers.find(frame.from);
             if (it == receivers.end() || it->second.sketch() == nullptr ||
                 SerializeSketch(*it->second.sketch()) != frame.payload) {
               ++chain_mismatches;
               std::fprintf(stderr,
-                           "FAIL: site %u delta chain != final snapshot\n",
+                           "FAIL: site %u RLZ chain != final snapshot\n",
                            frame.from);
             }
           }
@@ -486,13 +478,12 @@ int CoordinatorMain(const Flags& f, const char* exe) {
   bool ok = mismatches == 0;
   if (f.compress) {
     std::lock_guard<std::mutex> lk(mu);
-    std::printf("compression: %llu full, %llu delta, %llu rlz frames; "
+    std::printf("compression: %llu full, %llu rlz frames; "
                 "%llu stale-base rejects\n",
                 (unsigned long long)full_frames,
-                (unsigned long long)delta_frames,
                 (unsigned long long)rlz_frames,
                 (unsigned long long)stale_rejects);
-    if (delta_frames + rlz_frames == 0) {
+    if (rlz_frames == 0) {
       std::fprintf(stderr, "FAIL: --compress run shipped no compressed "
                            "frames\n");
       ok = false;
@@ -503,7 +494,7 @@ int CoordinatorMain(const Flags& f, const char* exe) {
       ok = false;
     }
     if (chain_mismatches > 0) {
-      std::fprintf(stderr, "FAIL: %llu sites whose delta chain diverged "
+      std::fprintf(stderr, "FAIL: %llu sites whose RLZ chain diverged "
                            "from the final snapshot\n",
                    (unsigned long long)chain_mismatches);
       ok = false;

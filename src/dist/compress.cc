@@ -1,32 +1,35 @@
 #include "src/dist/compress.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
 
 #include "src/util/bytes.h"
 
 namespace ecm {
 namespace {
 
-// Greedy factorization matches are seeded from this many reference bytes:
-// shorter copies rarely beat their op overhead (1–3 varint bytes for the
-// header plus up to 4 for the offset), and one fixed gram width keeps the
-// reference index a single flat hash pass.
-constexpr size_t kRlzGramBytes = 8;
+using wire_internal::kRlzGramBytes;
+using wire_internal::kRlzMaxCandidates;
 
-// Most recent reference positions kept per gram hash. Successive sketch
-// images are near-aligned, so one or two candidates almost always hold
-// the best match; a small bound keeps hostile/self-similar references
-// from degrading the encoder to quadratic.
-constexpr size_t kRlzMaxCandidates = 4;
-
-uint64_t RlzGram(const uint8_t* p) {
+uint64_t LoadGram(const uint8_t* p) {
   uint64_t g;
   std::memcpy(&g, p, sizeof(g));
-  // Fibonacci hash: gram bytes are low-entropy (varint payloads), so
-  // spread them before bucketing.
-  return g * 0x9E3779B97F4A7C15ULL;
+  return g;
+}
+
+// Length of the common prefix of a and b, at most max_len bytes, compared
+// a word at a time (the lowest set bit of the XOR marks the first
+// differing byte on the little-endian hosts ByteWriter assumes).
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t len = 0;
+  while (len + sizeof(uint64_t) <= max_len) {
+    const uint64_t diff = LoadGram(a + len) ^ LoadGram(b + len);
+    if (diff != 0) return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+    len += sizeof(uint64_t);
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
 }
 
 struct RlzOps {
@@ -59,20 +62,53 @@ const char* SketchWireKindName(SketchWireKind kind) {
   return "unknown";
 }
 
+size_t RlzIndex::Home(uint64_t gram) const {
+  // Fibonacci hash: gram bytes are low-entropy (varint payloads), so
+  // spread them and keep the top bits, which depend on every gram byte.
+  return static_cast<size_t>((gram * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+void RlzIndex::Build(const uint8_t* ref, size_t size) {
+  ref_ = ref;
+  const size_t grams = size >= kRlzGramBytes ? size - kRlzGramBytes + 1 : 0;
+  slots_.assign(grams > 0 ? std::bit_ceil(2 * grams) : 0, 0);
+  next_.resize(grams);
+  if (grams == 0) return;
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  // Back to front, so each gram's chain runs in increasing position order.
+  for (size_t i = grams; i-- > 0;) {
+    const uint64_t gram = LoadGram(ref + i);
+    size_t h = Home(gram);
+    while (slots_[h] != 0 && LoadGram(ref + slots_[h] - 1) != gram) {
+      h = (h + 1) & mask;
+    }
+    next_[i] = slots_[h];
+    slots_[h] = static_cast<uint32_t>(i + 1);
+  }
+}
+
+size_t RlzIndex::Find(const uint8_t* p,
+                      uint32_t (&out)[kRlzMaxCandidates]) const {
+  if (slots_.empty()) return 0;
+  const uint64_t gram = LoadGram(p);
+  const size_t mask = slots_.size() - 1;
+  for (size_t h = Home(gram); slots_[h] != 0; h = (h + 1) & mask) {
+    if (LoadGram(ref_ + slots_[h] - 1) != gram) continue;
+    size_t n = 0;
+    for (uint32_t e = slots_[h]; e != 0 && n < kRlzMaxCandidates;
+         e = next_[e - 1]) {
+      out[n++] = e - 1;
+    }
+    return n;
+  }
+  return 0;
+}
+
 std::vector<uint8_t> RlzEncode(const std::vector<uint8_t>& reference,
                                const uint8_t* data, size_t size,
-                               uint64_t epoch) {
-  // Index every gram start position in the reference, newest kept first.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-  if (reference.size() >= kRlzGramBytes) {
-    index.reserve(reference.size());
-    for (size_t i = 0; i + kRlzGramBytes <= reference.size(); ++i) {
-      std::vector<uint32_t>& slots = index[RlzGram(reference.data() + i)];
-      if (slots.size() < kRlzMaxCandidates) {
-        slots.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
+                               uint64_t epoch, RlzIndex* index) {
+  index->Build(reference.data(), reference.size());
 
   RlzOps out;
   size_t literal_start = 0;  // pending literal run [literal_start, i)
@@ -81,20 +117,17 @@ std::vector<uint8_t> RlzEncode(const std::vector<uint8_t>& reference,
     size_t best_len = 0;
     size_t best_off = 0;
     if (i + kRlzGramBytes <= size) {
-      auto it = index.find(RlzGram(data + i));
-      if (it != index.end()) {
-        for (uint32_t cand : it->second) {
-          // Verify and extend the candidate match.
-          size_t len = 0;
-          const size_t max_len =
-              std::min(size - i, reference.size() - cand);
-          while (len < max_len && reference[cand + len] == data[i + len]) {
-            ++len;
-          }
-          if (len > best_len) {
-            best_len = len;
-            best_off = cand;
-          }
+      // The first candidate holding the longest match wins.
+      uint32_t cands[kRlzMaxCandidates];
+      const size_t n = index->Find(data + i, cands);
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t cand = cands[k];
+        const size_t len =
+            MatchLength(reference.data() + cand, data + i,
+                        std::min(size - i, reference.size() - cand));
+        if (len > best_len) {
+          best_len = len;
+          best_off = cand;
         }
       }
     }

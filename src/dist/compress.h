@@ -2,26 +2,20 @@
 // attacked from the network side): successive wire images of the same
 // site's sketch are highly self-similar, so instead of re-shipping a full
 // SerializeSketch image every sync, a sender/receiver channel pair ships
-//
-//   * delta images ("ECMD", dist/serialize.h) — only the counter cells
-//     mutated since the last propagation, located by EcmSketch's per-cell
-//     version stamps; or
-//   * RLZ images ("ECMZ", this header) — the full image greedily
-//     factorized against the previously shipped one as copy(offset, len)
-//     and literal ops (relative Lempel-Ziv, cf. rlz-store's factorizor);
-//
-// falling back to full snapshots whenever the compressed form stops
-// paying for itself (content drift past `max_compressed_fraction`) or the
-// receiver's base is unknown (first contact, channel reset, transport
-// rejoin epoch change).
+// RLZ images ("ECMZ", this header): the full image greedily factorized
+// against the previously shipped one as copy(offset, len) and literal ops
+// (relative Lempel-Ziv, Hoobin, Puglisi & Zobel, PVLDB 2011). It falls
+// back to a full snapshot whenever the RLZ image stops paying for itself
+// (content drift past `max_compressed_fraction`) or the receiver's base
+// is unknown (first contact, channel reset, transport rejoin epoch
+// change).
 //
 // Correctness contract, enforced end-to-end rather than assumed: every
-// delta and RLZ image carries the FNV-1a checksum of both the base image
-// it was encoded against and the full image it must decode to. A receiver
-// on the wrong base rejects with StatusCode::kStaleBase (never a silent
-// wrong merge), and a decoded image that is not bit-identical to the
-// sender's full snapshot is rejected after the fact. Malformed bytes fail
-// with kCorruption before any state mutation.
+// RLZ image carries the FNV-1a checksum of the reference it was encoded
+// against, and the image it decodes to must parse as a checksummed full
+// snapshot. A receiver on the wrong base rejects with
+// StatusCode::kStaleBase (never a silent wrong merge). Malformed bytes
+// fail with kCorruption before any state mutation.
 
 #ifndef ECM_DIST_COMPRESS_H_
 #define ECM_DIST_COMPRESS_H_
@@ -50,12 +44,55 @@ inline constexpr uint64_t kRlzFormatVersion = 1;
 /// Decoded-image size cap, mirroring SocketTransport's frame bound: a
 /// forged length field must never request a giant allocation.
 inline constexpr uint64_t kMaxRlzRawBytes = 64ull * 1024 * 1024;
+/// Greedy factorization matches are seeded from this many reference
+/// bytes: shorter copies rarely beat their op overhead (1–3 varint bytes
+/// for the header plus up to 4 for the offset).
+inline constexpr size_t kRlzGramBytes = 8;
+/// Reference positions kept per gram: its first kRlzMaxCandidates, in
+/// increasing order. Successive sketch images are near-aligned, so one or
+/// two candidates almost always hold the best match; a small bound keeps
+/// hostile/self-similar references from degrading the encoder to
+/// quadratic.
+inline constexpr size_t kRlzMaxCandidates = 4;
 }  // namespace wire_internal
+
+/// Flat open-addressing index of a reference's kRlzGramBytes-byte grams.
+/// Each slot is keyed on the exact gram and holds its first reference
+/// position; a per-position link leads to the gram's next position, so
+/// walking from a slot yields the gram's positions in increasing order.
+/// Find() returns the first kRlzMaxCandidates of them. A slot is 4 bytes
+/// and a link 4 bytes per reference byte, so a sender's index stays
+/// cache-resident next to its reference. Build() clears and refills the
+/// arrays in place: a holder that re-indexes every ship (SketchSender)
+/// allocates only when a reference outgrows them.
+class RlzIndex {
+ public:
+  /// Clears the index, then indexes every gram of [ref, ref + size). The
+  /// reference bytes must outlive every Find() against this build.
+  void Build(const uint8_t* ref, size_t size);
+
+  /// Writes the candidate positions of the gram starting at `p` to `out`
+  /// in increasing order; returns how many (0 if the reference never
+  /// contains it).
+  size_t Find(const uint8_t* p,
+              uint32_t (&out)[wire_internal::kRlzMaxCandidates]) const;
+
+ private:
+  size_t Home(uint64_t gram) const;
+
+  const uint8_t* ref_ = nullptr;
+  // 1 + a gram's first position, 0 if empty. Power-of-two size, at most
+  // half full.
+  std::vector<uint32_t> slots_;
+  std::vector<uint32_t> next_;  // 1 + the next position of the same gram
+  int shift_ = 64;              // Home() keeps the top log2(size) bits
+};
 
 /// Encodes [data, data+size) against `reference` as a checksummed RLZ
 /// image: greedy longest-match factorization into copy(offset, len) ops
 /// into the reference plus literal runs. `epoch` is the transport rejoin
-/// epoch (receivers on a different epoch reject).
+/// epoch (receivers on a different epoch reject). `index` is rebuilt
+/// over `reference`; pass the same one across calls to reuse its table.
 ///
 /// Layout: "ECMZ" | fixed64 FNV-1a(payload) | payload =
 ///   varint format | varint epoch | fixed64 ref_checksum | varint
@@ -64,7 +101,7 @@ inline constexpr uint64_t kMaxRlzRawBytes = 64ull * 1024 * 1024;
 ///   (literal).
 std::vector<uint8_t> RlzEncode(const std::vector<uint8_t>& reference,
                                const uint8_t* data, size_t size,
-                               uint64_t epoch);
+                               uint64_t epoch, RlzIndex* index);
 
 /// Decodes an RLZ image against `reference`. Rejects with kStaleBase when
 /// the epoch or the reference (length + checksum) does not match what the
@@ -83,20 +120,19 @@ Result<std::vector<uint8_t>> RlzDecode(const uint8_t* data, size_t size,
 /// (SocketTransport maps them 1:1 onto frame types).
 enum class SketchWireKind : uint8_t {
   kFull = 1,   ///< SerializeSketch bytes ("ECMS")
-  kDelta = 2,  ///< dirty-cell delta ("ECMD")
+  kDelta = 2,  ///< retired dirty-cell delta: receivers reject it
   kRlz = 3,    ///< reference-compressed full image ("ECMZ")
 };
 
 const char* SketchWireKindName(SketchWireKind kind);
 
-/// Which compressed forms a sender may choose from. Fallback to kFull is
-/// always allowed (and forced on the first image, after Reset, and past
-/// the compressibility threshold).
+/// Whether a sender may compress. Fallback to kFull is always allowed
+/// (and forced on the first image, after Reset, and past the
+/// compressibility threshold).
 enum class CompressionMode : uint8_t {
-  kFull = 0,   ///< always ship full snapshots (the pre-compression wire)
-  kDelta = 1,  ///< dirty-cell deltas, full fallback
-  kRlz = 2,    ///< RLZ against the previous image, full fallback
-  kAuto = 3,   ///< smallest of delta/RLZ per image, full fallback
+  kFull = 0,  ///< always ship full snapshots (the pre-compression wire)
+  kRlz = 2,   ///< RLZ against the previous image, full fallback
+  kAuto = 3,  ///< the default; the same as kRlz
 };
 
 struct CompressionOptions {
@@ -106,7 +142,7 @@ struct CompressionOptions {
   /// (drifted-too-far fallback, and it re-bases the channel).
   double max_compressed_fraction = 0.9;
   /// Transport rejoin epoch stamped into every compressed image. Bump on
-  /// crash/rejoin (SocketTransport Options::epoch) so stale-base deltas
+  /// crash/rejoin (SocketTransport Options::epoch) so stale-base images
   /// from before the crash can never apply.
   uint64_t epoch = 1;
 };
@@ -114,7 +150,7 @@ struct CompressionOptions {
 /// Wire-volume accounting of one channel endpoint.
 struct CompressionStats {
   uint64_t full_images = 0;
-  uint64_t delta_images = 0;
+  uint64_t delta_images = 0;  ///< always 0: no sender ships deltas
   uint64_t rlz_images = 0;
   uint64_t wire_bytes = 0;  ///< bytes actually shipped
   uint64_t raw_bytes = 0;   ///< full-snapshot bytes they stand in for
@@ -137,11 +173,9 @@ struct SketchWireImage {
 };
 
 /// Sender half of a compressed propagation channel. Tracks the last
-/// shipped full image (the reference/base) and the sketch version it
-/// captured; each Ship() encodes the sketch's current state in the
-/// cheapest permitted form. One sender instance per (site sketch,
-/// receiver) pair — it must keep shipping the same live sketch object,
-/// whose version stamps its base refers to.
+/// shipped full image (the reference/base); each Ship() encodes the
+/// sketch's current state in the cheapest permitted form. One sender
+/// instance per (site sketch, receiver) pair.
 template <SlidingWindowCounter Counter>
 class SketchSender {
  public:
@@ -154,40 +188,27 @@ class SketchSender {
     stats_.raw_bytes += full.size();
     SketchWireImage img;
     img.kind = SketchWireKind::kFull;
-    const size_t budget = static_cast<size_t>(
-        static_cast<double>(full.size()) * opts_.max_compressed_fraction);
     if (has_base_ && opts_.mode != CompressionMode::kFull) {
-      if (opts_.mode == CompressionMode::kDelta ||
-          opts_.mode == CompressionMode::kAuto) {
-        std::vector<uint8_t> delta = SerializeSketchDelta(
-            sketch, base_version_, opts_.epoch, reference_, full);
-        if (delta.size() < budget) {
-          img.kind = SketchWireKind::kDelta;
-          img.bytes = std::move(delta);
-        }
-      }
-      if (opts_.mode == CompressionMode::kRlz ||
-          opts_.mode == CompressionMode::kAuto) {
-        std::vector<uint8_t> rlz =
-            RlzEncode(reference_, full.data(), full.size(), opts_.epoch);
-        if (rlz.size() < budget &&
-            (img.kind == SketchWireKind::kFull ||
-             rlz.size() < img.bytes.size())) {
-          img.kind = SketchWireKind::kRlz;
-          img.bytes = std::move(rlz);
-        }
+      const size_t budget = static_cast<size_t>(
+          static_cast<double>(full.size()) * opts_.max_compressed_fraction);
+      std::vector<uint8_t> rlz =
+          RlzEncode(reference_, full.data(), full.size(), opts_.epoch,
+                    &index_);
+      if (rlz.size() < budget) {
+        img.kind = SketchWireKind::kRlz;
+        img.bytes = std::move(rlz);
       }
     }
-    base_version_ = sketch.version();
-    // kFull never encodes against a reference, so it keeps none.
-    if (opts_.mode != CompressionMode::kFull) reference_ = full;
     has_base_ = true;
     if (img.kind == SketchWireKind::kFull) {
+      // kFull never encodes against a reference, so it keeps none.
+      if (opts_.mode != CompressionMode::kFull) {
+        reference_.assign(full.begin(), full.end());
+      }
       img.bytes = std::move(full);
       ++stats_.full_images;
-    } else if (img.kind == SketchWireKind::kDelta) {
-      ++stats_.delta_images;
     } else {
+      reference_.swap(full);
       ++stats_.rlz_images;
     }
     stats_.wire_bytes += img.bytes.size();
@@ -211,16 +232,16 @@ class SketchSender {
  private:
   CompressionOptions opts_;
   bool has_base_ = false;
-  uint64_t base_version_ = 0;      // sketch.version() at the last Ship
   std::vector<uint8_t> reference_;  // full image shipped/implied last
+  RlzIndex index_;                  // gram index of reference_, reused
   CompressionStats stats_;
 };
 
 /// Receiver half: decodes images back into a live sketch, maintaining the
 /// same reference chain as the sender. Any kStaleBase/kCorruption outcome
 /// leaves a consistent state; after a non-OK Receive the caller should
-/// request (or wait for) a full snapshot — deltas keep rejecting until
-/// one arrives.
+/// request (or wait for) a full snapshot — RLZ images keep rejecting
+/// until one arrives. kDelta images always reject, mutating nothing.
 ///
 /// Replay hardening: delivery is at-least-once under retransmitting
 /// transports (a retry after a send timeout, or SocketTransport's
@@ -251,27 +272,6 @@ class SketchReceiver {
         if (opts_.mode != CompressionMode::kFull) {
           reference_.assign(data, data + size);
         }
-        has_version_ = false;
-        NoteApplied(kind, data, size);
-        return &*base_;
-      }
-      case SketchWireKind::kDelta: {
-        if (!base_.has_value()) {
-          return Status::StaleBase("delta image before any full snapshot");
-        }
-        SketchDeltaInfo info;
-        auto full = ApplySketchDelta<Counter>(
-            data, size, opts_.epoch, reference_, &*base_,
-            has_version_ ? &base_version_ : nullptr, &info);
-        if (!full.ok()) {
-          // A post-image mismatch mutated the sketch before failing; the
-          // stale/corrupt rejections leave it untouched.
-          if (full.status().code() == StatusCode::kInternal) Reset();
-          return full.status();
-        }
-        reference_ = std::move(*full);
-        base_version_ = info.new_version;
-        has_version_ = true;
         NoteApplied(kind, data, size);
         return &*base_;
       }
@@ -280,10 +280,11 @@ class SketchReceiver {
         if (!full.ok()) return full.status();
         ECM_RETURN_NOT_OK(DecodeBase(full->data(), full->size()));
         reference_ = std::move(*full);
-        has_version_ = false;
         NoteApplied(kind, data, size);
         return &*base_;
       }
+      case SketchWireKind::kDelta:
+        return Status::InvalidArgument("delta images are not supported");
     }
     return Status::InvalidArgument("unknown sketch wire kind");
   }
@@ -293,7 +294,6 @@ class SketchReceiver {
   void Reset() {
     base_.reset();
     reference_.clear();
-    has_version_ = false;
     has_last_ = false;
   }
 
@@ -350,8 +350,6 @@ class SketchReceiver {
   CompressionOptions opts_;
   std::optional<EcmSketch<Counter>> base_;
   std::vector<uint8_t> reference_;
-  uint64_t base_version_ = 0;  // sender version chain (delta only)
-  bool has_version_ = false;
   // Kind, size and header of the last applied image (duplicates).
   bool has_last_ = false;
   SketchWireKind last_kind_ = SketchWireKind::kFull;

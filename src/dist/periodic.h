@@ -134,7 +134,7 @@ class PeriodicAggregatorT {
       s.drift_pushes += tr.drift_pushes;
     }
     const CompressionStats cs = coord_.compression_stats();
-    s.network.messages = cs.full_images + cs.delta_images + cs.rlz_images;
+    s.network.messages = cs.full_images + cs.rlz_images;
     s.network.bytes = cs.wire_bytes;
     return s;
   }

@@ -73,7 +73,7 @@ enum class FrameType : uint8_t {
   kVector = 4,     ///< statistics vector (geometric-monitor sync)
   kBlob = 5,       ///< opaque payload of a Transport::Send
   kDone = 6,       ///< site finished its shard; payload = final snapshot
-  kSketchDelta = 7,  ///< dirty-cell delta image ("ECMD", dist/serialize.h)
+  kSketchDelta = 7,  ///< retired delta image: SketchReceiver rejects it
   kSketchRlz = 8,    ///< reference-compressed image ("ECMZ", dist/compress.h)
 };
 

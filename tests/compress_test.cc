@@ -1,10 +1,12 @@
-// Tests for the compressed propagation layer (dist/compress.h +
-// dist/serialize.h delta images):
-//  * the differential gate — delta ∘ base and rlz ∘ reference decode
-//    bit-identically to full SerializeSketch snapshots on randomized
-//    streams, chained across many syncs and for every CompressionMode;
+// Tests for the compressed propagation layer (dist/compress.h):
+//  * the differential gate — rlz ∘ reference decodes bit-identically to
+//    full SerializeSketch snapshots on randomized streams, chained across
+//    many syncs and for every CompressionMode;
+//  * the encoder oracle — RlzEncode's flat gram index emits the same
+//    bytes as the hash-map encoder in tests/test_oracles.h;
 //  * stale-base / rejoin-epoch safety — wrong bases, wrong epochs and
-//    replayed deltas reject with kStaleBase, never a silent wrong merge;
+//    replayed images reject with kStaleBase, never a silent wrong merge;
+//    retired delta images always reject, mutating nothing;
 //  * hostile-input fuzz — truncation sweeps, bit flips and forged copy
 //    ops reject cleanly with no out-of-bounds access.
 
@@ -20,6 +22,7 @@
 #include "src/util/random.h"
 #include "src/window/exponential_histogram.h"
 #include "src/window/randomized_wave.h"
+#include "tests/test_oracles.h"
 
 namespace ecm {
 namespace {
@@ -47,105 +50,6 @@ void Feed(EcmSketch<Counter>* sketch, int n, uint64_t seed, Timestamp* ts) {
   }
 }
 
-// --- delta images: raw API ------------------------------------------------
-
-template <typename Counter>
-void DeltaRoundTripImpl() {
-  auto sender = MakeSketch<Counter>();
-  Timestamp ts = 1;
-  Feed(&sender, 400, 11, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-
-  auto receiver = DeserializeSketch<Counter>(base_image.data(),
-                                             base_image.size());
-  ASSERT_TRUE(receiver.ok()) << receiver.status();
-
-  Feed(&sender, 60, 12, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta = SerializeSketchDelta(
-      sender, base_version, /*epoch=*/1, base_image, new_image);
-  // A small increment must beat re-shipping the whole grid.
-  EXPECT_LT(delta.size(), new_image.size());
-
-  SketchDeltaInfo info;
-  auto full = ApplySketchDelta<Counter>(delta.data(), delta.size(),
-                                        /*expected_epoch=*/1, base_image,
-                                        &*receiver, nullptr, &info);
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_EQ(*full, new_image);
-  EXPECT_EQ(SerializeSketch(*receiver), new_image);
-  EXPECT_EQ(info.base_version, base_version);
-  EXPECT_EQ(info.new_version, sender.version());
-}
-
-TEST(SketchDeltaTest, RoundTripMatchesFullImageEh) {
-  DeltaRoundTripImpl<ExponentialHistogram>();
-}
-
-TEST(SketchDeltaTest, RoundTripMatchesFullImageRw) {
-  DeltaRoundTripImpl<RandomizedWave>();
-}
-
-TEST(SketchDeltaTest, RejectsWrongBaseImage) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 200, 21, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 50, 22, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  // A receiver whose state (and thus base image) differs must refuse.
-  auto other = MakeSketch<ExponentialHistogram>();
-  Timestamp ts2 = 1;
-  Feed(&other, 150, 99, &ts2);
-  const std::vector<uint8_t> other_image = SerializeSketch(other);
-  auto applied = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 1, other_image, &other);
-  ASSERT_FALSE(applied.ok());
-  EXPECT_EQ(applied.status().code(), StatusCode::kStaleBase);
-  // The rejected apply must not have mutated the receiver.
-  EXPECT_EQ(SerializeSketch(other), other_image);
-}
-
-TEST(SketchDeltaTest, RejectsWrongEpochAndReplay) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 200, 31, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  auto receiver =
-      DeserializeSketch<ExponentialHistogram>(base_image.data(),
-                                              base_image.size());
-  ASSERT_TRUE(receiver.ok());
-  Feed(&sender, 40, 32, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, /*epoch=*/3, base_image,
-                           new_image);
-
-  // Wrong rejoin epoch: refuse before touching the base.
-  auto wrong_epoch = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), /*expected_epoch=*/4, base_image,
-      &*receiver);
-  ASSERT_FALSE(wrong_epoch.ok());
-  EXPECT_EQ(wrong_epoch.status().code(), StatusCode::kStaleBase);
-
-  // Correct epoch applies...
-  auto ok = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 3, base_image, &*receiver);
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  // ...and replaying the same delta against the advanced base refuses
-  // (the base image no longer matches what the delta was encoded against).
-  auto replay = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 3, *ok, &*receiver);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kStaleBase);
-}
-
 // --- RLZ codec ------------------------------------------------------------
 
 TEST(RlzTest, RoundTripAgainstReference) {
@@ -156,7 +60,9 @@ TEST(RlzTest, RoundTripAgainstReference) {
   Feed(&sketch, 30, 42, &ts);
   const std::vector<uint8_t> img = SerializeSketch(sketch);
 
-  const std::vector<uint8_t> enc = RlzEncode(ref, img.data(), img.size(), 1);
+  RlzIndex index;
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, img.data(), img.size(), 1, &index);
   // Successive images share most bytes, so RLZ must compress.
   EXPECT_LT(enc.size(), img.size());
   auto dec = RlzDecode(enc.data(), enc.size(), ref, 1);
@@ -169,7 +75,9 @@ TEST(RlzTest, EmptyReferenceDegeneratesToLiterals) {
   std::vector<uint8_t> img(1000);
   Rng rng(5);
   for (auto& b : img) b = static_cast<uint8_t>(rng.Next());
-  const std::vector<uint8_t> enc = RlzEncode(ref, img.data(), img.size(), 1);
+  RlzIndex index;
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, img.data(), img.size(), 1, &index);
   auto dec = RlzDecode(enc.data(), enc.size(), ref, 1);
   ASSERT_TRUE(dec.ok()) << dec.status();
   EXPECT_EQ(*dec, img);
@@ -181,7 +89,9 @@ TEST(RlzTest, RejectsWrongReferenceAndEpoch) {
   for (auto& b : ref) b = static_cast<uint8_t>(rng.Next());
   img = ref;
   img[100] ^= 0x5A;
-  const std::vector<uint8_t> enc = RlzEncode(ref, img.data(), img.size(), 2);
+  RlzIndex index;
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, img.data(), img.size(), 2, &index);
 
   auto wrong_epoch = RlzDecode(enc.data(), enc.size(), ref, 3);
   ASSERT_FALSE(wrong_epoch.ok());
@@ -194,32 +104,135 @@ TEST(RlzTest, RejectsWrongReferenceAndEpoch) {
   EXPECT_EQ(wrong_ref.status().code(), StatusCode::kStaleBase);
 }
 
-// --- hostile-input fuzz ---------------------------------------------------
+// --- encoder oracle: flat gram index vs the hash-map encoder ---------------
 
-// Every truncation of a valid image must reject; no prefix may decode.
-TEST(CompressFuzzTest, DeltaTruncationSweep) {
-  auto sender = MakeSketch<ExponentialHistogram>();
+// Encodes with the held index, requires the oracle's bytes, and checks the
+// image decodes back to `data`.
+void ExpectOracleBytes(const std::vector<uint8_t>& ref,
+                       const std::vector<uint8_t>& data, RlzIndex* index) {
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, data.data(), data.size(), 1, index);
+  ASSERT_EQ(enc, oracle::RlzEncode(ref, data.data(), data.size(), 1))
+      << "ref " << ref.size() << " B, data " << data.size() << " B";
+  auto dec = RlzDecode(enc.data(), enc.size(), ref, 1);
+  ASSERT_TRUE(dec.ok()) << dec.status();
+  EXPECT_EQ(*dec, data);
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> out(n);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+// Successive images of one live sketch, each encoded against the last,
+// as a channel sender sees them.
+template <typename Counter>
+void OracleOnSketchImagesImpl() {
+  auto sketch = MakeSketch<Counter>();
   Timestamp ts = 1;
-  Feed(&sender, 120, 51, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 20, 52, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  for (size_t len = 0; len < delta.size(); ++len) {
-    auto receiver = DeserializeSketch<ExponentialHistogram>(
-        base_image.data(), base_image.size());
-    ASSERT_TRUE(receiver.ok());
-    auto applied = ApplySketchDelta<ExponentialHistogram>(
-        delta.data(), len, 1, base_image, &*receiver);
-    EXPECT_FALSE(applied.ok()) << "prefix of " << len << " bytes decoded";
-    EXPECT_EQ(SerializeSketch(*receiver), base_image)
-        << "truncated delta mutated the receiver at len " << len;
+  Feed(&sketch, 300, 111, &ts);
+  RlzIndex index;
+  std::vector<uint8_t> ref = SerializeSketch(sketch);
+  for (int round = 0; round < 20; ++round) {
+    // Enough arrivals per round that the 200-tick window slides.
+    Feed(&sketch, 60, 112 + static_cast<uint64_t>(round), &ts);
+    std::vector<uint8_t> img = SerializeSketch(sketch);
+    ExpectOracleBytes(ref, img, &index);
+    ref = std::move(img);
   }
 }
 
+TEST(RlzOracleTest, SlidingEhImages) {
+  OracleOnSketchImagesImpl<ExponentialHistogram>();
+}
+
+TEST(RlzOracleTest, RwImages) { OracleOnSketchImagesImpl<RandomizedWave>(); }
+
+TEST(RlzOracleTest, RandomBytes) {
+  RlzIndex index;
+  const std::vector<uint8_t> ref = RandomBytes(4096, 121);
+  ExpectOracleBytes(ref, RandomBytes(4096, 122), &index);
+  // Random data spliced from reference runs: copies at random offsets.
+  std::vector<uint8_t> data;
+  Rng rng(123);
+  while (data.size() < 8192) {
+    const size_t off = rng.Next() % ref.size();
+    const size_t len = std::min<size_t>(1 + rng.Next() % 64, ref.size() - off);
+    data.insert(data.end(), ref.begin() + static_cast<std::ptrdiff_t>(off),
+                ref.begin() + static_cast<std::ptrdiff_t>(off + len));
+    data.push_back(static_cast<uint8_t>(rng.Next()));
+  }
+  ExpectOracleBytes(ref, data, &index);
+}
+
+// Self-similar references give every gram far more than
+// kRlzMaxCandidates positions; only the first ones may be tried.
+TEST(RlzOracleTest, HostileSelfSimilarReferences) {
+  RlzIndex index;
+  const std::vector<uint8_t> zeros(1 << 20, 0);
+  std::vector<uint8_t> zeros_edited = zeros;
+  for (size_t i = 5; i < zeros_edited.size(); i += 4099) zeros_edited[i] = 1;
+  ExpectOracleBytes(zeros, zeros, &index);
+  ExpectOracleBytes(zeros, zeros_edited, &index);
+
+  const std::vector<uint8_t> period1(1 << 16, 0xA7);
+  ExpectOracleBytes(period1, RandomBytes(1 << 12, 131), &index);
+  std::vector<uint8_t> period1_edited(period1.begin(), period1.begin() + 5000);
+  period1_edited[777] = 0;
+  ExpectOracleBytes(period1, period1_edited, &index);
+
+  std::vector<uint8_t> period8(1 << 16);
+  for (size_t i = 0; i < period8.size(); ++i) {
+    period8[i] = static_cast<uint8_t>(0x30 + i % 8);
+  }
+  std::vector<uint8_t> period8_edited(period8.begin() + 3,
+                                      period8.begin() + 40'000);
+  for (size_t i = 11; i < period8_edited.size(); i += 997) {
+    period8_edited[i] ^= 0xFF;
+  }
+  ExpectOracleBytes(period8, period8_edited, &index);
+}
+
+TEST(RlzOracleTest, ShortReferencesAndEmptyData) {
+  RlzIndex index;
+  const std::vector<uint8_t> data = RandomBytes(64, 141);
+  for (size_t ref_len = 0; ref_len < wire_internal::kRlzGramBytes;
+       ++ref_len) {
+    const std::vector<uint8_t> ref(data.begin(),
+                                   data.begin() +
+                                       static_cast<std::ptrdiff_t>(ref_len));
+    ExpectOracleBytes(ref, data, &index);
+    ExpectOracleBytes(ref, {}, &index);
+    ExpectOracleBytes(ref, ref, &index);
+  }
+  ExpectOracleBytes(data, {}, &index);
+  const std::vector<uint8_t> tail(data.begin(), data.begin() + 5);
+  ExpectOracleBytes(data, tail, &index);
+}
+
+// One index across references that grow and then shrink: entries of a
+// longer earlier reference must never surface as candidates of a later
+// one (a stale position would copy past the new reference's end).
+TEST(RlzOracleTest, HeldIndexAcrossGrowingAndShrinkingReferences) {
+  RlzIndex index;
+  const std::vector<uint8_t> base = RandomBytes(200'000, 151);
+  for (size_t len : {100u, 10'000u, 200'000u, 50'000u, 5'000u, 16u, 7u, 0u,
+                     20'000u}) {
+    const std::vector<uint8_t> ref(
+        base.begin(), base.begin() + static_cast<std::ptrdiff_t>(len));
+    // Data drawn from the longest reference: its tail matches only
+    // positions the current reference does not have.
+    std::vector<uint8_t> data(base.begin() + 1000, base.begin() + 61'000);
+    for (size_t i = 0; i < data.size(); i += 1237) data[i] ^= 0x5A;
+    ExpectOracleBytes(ref, data, &index);
+  }
+}
+
+// --- hostile-input fuzz ---------------------------------------------------
+
+// Every truncation of a valid image must reject; no prefix may decode.
 TEST(CompressFuzzTest, RlzTruncationSweep) {
   auto sketch = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
@@ -227,7 +240,9 @@ TEST(CompressFuzzTest, RlzTruncationSweep) {
   const std::vector<uint8_t> ref = SerializeSketch(sketch);
   Feed(&sketch, 20, 54, &ts);
   const std::vector<uint8_t> img = SerializeSketch(sketch);
-  const std::vector<uint8_t> enc = RlzEncode(ref, img.data(), img.size(), 1);
+  RlzIndex index;
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, img.data(), img.size(), 1, &index);
   for (size_t len = 0; len < enc.size(); ++len) {
     EXPECT_FALSE(RlzDecode(enc.data(), len, ref, 1).ok())
         << "prefix of " << len << " bytes decoded";
@@ -236,34 +251,6 @@ TEST(CompressFuzzTest, RlzTruncationSweep) {
 
 // Flipping any single byte must never decode to different content than
 // the original image (the checksum makes rejection the expected outcome).
-TEST(CompressFuzzTest, DeltaBitFlipSweep) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 120, 55, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 20, 56, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  for (size_t i = 0; i < delta.size(); ++i) {
-    std::vector<uint8_t> mutated = delta;
-    mutated[i] ^= 0x41;
-    auto receiver = DeserializeSketch<ExponentialHistogram>(
-        base_image.data(), base_image.size());
-    ASSERT_TRUE(receiver.ok());
-    auto applied = ApplySketchDelta<ExponentialHistogram>(
-        mutated.data(), mutated.size(), 1, base_image, &*receiver);
-    if (applied.ok()) {
-      EXPECT_EQ(*applied, new_image) << "flip at " << i << " silently merged";
-    } else {
-      EXPECT_EQ(SerializeSketch(*receiver), base_image)
-          << "rejected flip at " << i << " mutated the receiver";
-    }
-  }
-}
-
 TEST(CompressFuzzTest, RlzBitFlipSweep) {
   auto sketch = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
@@ -271,7 +258,9 @@ TEST(CompressFuzzTest, RlzBitFlipSweep) {
   const std::vector<uint8_t> ref = SerializeSketch(sketch);
   Feed(&sketch, 20, 58, &ts);
   const std::vector<uint8_t> img = SerializeSketch(sketch);
-  const std::vector<uint8_t> enc = RlzEncode(ref, img.data(), img.size(), 1);
+  RlzIndex index;
+  const std::vector<uint8_t> enc =
+      RlzEncode(ref, img.data(), img.size(), 1, &index);
   for (size_t i = 0; i < enc.size(); ++i) {
     std::vector<uint8_t> mutated = enc;
     mutated[i] ^= 0x41;
@@ -360,10 +349,11 @@ void ChannelDifferentialImpl(CompressionMode mode) {
         << "round " << round << " kind " << SketchWireKindName(img.kind);
   }
   const CompressionStats& st = sender.stats();
-  EXPECT_EQ(st.full_images + st.delta_images + st.rlz_images, 25u);
+  EXPECT_EQ(st.full_images + st.rlz_images, 25u);
+  EXPECT_EQ(st.delta_images, 0u);
   if (mode != CompressionMode::kFull) {
     // Steady-state small increments must actually compress.
-    EXPECT_GT(st.delta_images + st.rlz_images, 0u);
+    EXPECT_GT(st.rlz_images, 0u);
     EXPECT_LT(st.wire_bytes, st.raw_bytes);
   }
 }
@@ -371,39 +361,86 @@ void ChannelDifferentialImpl(CompressionMode mode) {
 TEST(SketchChannelTest, DifferentialFullEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DifferentialDeltaEh) {
-  ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kDelta);
-}
 TEST(SketchChannelTest, DifferentialRlzEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kRlz);
 }
 TEST(SketchChannelTest, DifferentialAutoEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kAuto);
 }
-TEST(SketchChannelTest, DifferentialDeltaRw) {
-  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kDelta);
+TEST(SketchChannelTest, DifferentialRlzRw) {
+  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kRlz);
 }
 TEST(SketchChannelTest, DifferentialAutoRw) {
   ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kAuto);
 }
 
-TEST(SketchChannelTest, ReceiverRejectsDeltaBeforeFirstSnapshot) {
+TEST(SketchChannelTest, ReceiverRejectsRlzBeforeFirstSnapshot) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
   Feed(&local, 200, 71, &ts);
   (void)sender.Ship(local);  // primes the sender's base
   Feed(&local, 20, 72, &ts);
-  SketchWireImage delta = sender.Ship(local);
-  ASSERT_EQ(delta.kind, SketchWireKind::kDelta);
+  SketchWireImage rlz = sender.Ship(local);
+  ASSERT_EQ(rlz.kind, SketchWireKind::kRlz);
 
   SketchReceiver<ExponentialHistogram> fresh(opts);
-  auto got = fresh.Receive(delta.kind, delta.bytes.data(), delta.bytes.size());
+  auto got = fresh.Receive(rlz.kind, rlz.bytes.data(), rlz.bytes.size());
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kStaleBase);
   EXPECT_EQ(fresh.sketch(), nullptr);
+}
+
+TEST(SketchChannelTest, DeltaImagesAlwaysRejectWithoutMutation) {
+  CompressionOptions opts;
+  opts.mode = CompressionMode::kRlz;
+  SketchSender<ExponentialHistogram> sender(opts);
+  SketchReceiver<ExponentialHistogram> receiver(opts);
+  auto local = MakeSketch<ExponentialHistogram>();
+  Timestamp ts = 1;
+  Feed(&local, 300, 161, &ts);
+  SketchWireImage full = sender.Ship(local);
+  ASSERT_TRUE(
+      receiver.Receive(full.kind, full.bytes.data(), full.bytes.size()).ok());
+  Feed(&local, 40, 162, &ts);
+  SketchWireImage last = sender.Ship(local);
+  ASSERT_EQ(last.kind, SketchWireKind::kRlz);
+  ASSERT_TRUE(
+      receiver.Receive(last.kind, last.bytes.data(), last.bytes.size()).ok());
+  const std::vector<uint8_t> settled = SerializeSketch(*receiver.sketch());
+
+  // A well-formed blob under the retired "ECMD" magic, the last applied
+  // image's own bytes (same header as the duplicate fingerprint), a full
+  // image, random bytes and nothing at all.
+  ByteWriter payload;
+  payload.PutVarint(1);
+  const uint8_t kDeltaMagic[4] = {'E', 'C', 'M', 'D'};
+  const std::vector<std::vector<uint8_t>> blobs = {
+      wire_internal::WrapWirePayload(kDeltaMagic, payload), last.bytes,
+      full.bytes, RandomBytes(64, 163), {}};
+  for (const std::vector<uint8_t>& blob : blobs) {
+    auto got =
+        receiver.Receive(SketchWireKind::kDelta, blob.data(), blob.size());
+    EXPECT_FALSE(got.ok()) << blob.size() << " B delta blob accepted";
+    ASSERT_NE(receiver.sketch(), nullptr);
+    EXPECT_EQ(SerializeSketch(*receiver.sketch()), settled);
+  }
+  EXPECT_EQ(receiver.duplicates_absorbed(), 0u);
+
+  // The duplicate fingerprint still names the last RLZ image...
+  ASSERT_TRUE(
+      receiver.Receive(last.kind, last.bytes.data(), last.bytes.size()).ok());
+  EXPECT_EQ(receiver.duplicates_absorbed(), 1u);
+  // ...and the reference is still its decoded image: the next RLZ image
+  // applies.
+  Feed(&local, 40, 164, &ts);
+  SketchWireImage next = sender.Ship(local);
+  ASSERT_EQ(next.kind, SketchWireKind::kRlz);
+  auto got = receiver.Receive(next.kind, next.bytes.data(), next.bytes.size());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(SerializeSketch(**got), SerializeSketch(local));
 }
 
 TEST(SketchChannelTest, EpochChangeForcesFullResync) {
@@ -483,23 +520,18 @@ TEST(SketchChannelTest, DuplicateDeliveryIdempotentFullEh) {
   DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(
       CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentDeltaEh) {
-  DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(
-      CompressionMode::kDelta);
-}
 TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzEh) {
   DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(CompressionMode::kRlz);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentDeltaRw) {
-  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kDelta);
+TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzRw) {
+  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kRlz);
 }
 
 TEST(SketchChannelTest, CorruptedDuplicateRejectsInsteadOfAbsorbing) {
   // A retransmit whose payload was damaged in flight keeps the header of
   // the image just applied; it must fail as corruption, not pass as a
   // duplicate, and leave the applied state alone.
-  for (CompressionMode mode : {CompressionMode::kFull, CompressionMode::kDelta,
-                               CompressionMode::kRlz}) {
+  for (CompressionMode mode : {CompressionMode::kFull, CompressionMode::kRlz}) {
     CompressionOptions opts;
     opts.mode = mode;
     SketchSender<ExponentialHistogram> sender(opts);
@@ -532,7 +564,7 @@ TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
   // replay from further back is a stale base and must reject without
   // touching the receiver's state.
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   SketchReceiver<ExponentialHistogram> receiver(opts);
   auto local = MakeSketch<ExponentialHistogram>();
@@ -544,7 +576,7 @@ TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
 
   Feed(&local, 40, 98, &ts);
   SketchWireImage d1 = sender.Ship(local);
-  ASSERT_EQ(d1.kind, SketchWireKind::kDelta);
+  ASSERT_EQ(d1.kind, SketchWireKind::kRlz);
   ASSERT_TRUE(receiver.Receive(d1.kind, d1.bytes.data(), d1.bytes.size()).ok());
 
   Feed(&local, 40, 99, &ts);
@@ -590,14 +622,14 @@ TEST(SketchChannelTest, ResetClearsDuplicateFingerprint) {
 
 TEST(SketchChannelTest, SenderResetRebasesWithFullImage) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
   Feed(&local, 100, 91, &ts);
   EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kFull);
   Feed(&local, 10, 92, &ts);
-  EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kDelta);
+  EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kRlz);
   sender.Reset();
   Feed(&local, 10, 93, &ts);
   EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kFull);

@@ -520,7 +520,7 @@ TEST(FrameFuzzTest, CorruptSketchPayloadInsideValidFrameIsRejectedDownstream) {
 
 /// Coordinator-side receive endpoint for compressed sketch frames: one
 /// SketchReceiver keyed on the site's current kHello rejoin epoch. An
-/// epoch change (crash/rejoin) drops the delta base, so compressed images
+/// epoch change (crash/rejoin) drops the RLZ base, so compressed images
 /// stamped with the old epoch reject with kStaleBase and only a fresh
 /// full snapshot re-bases the channel.
 class CompressedSink {
@@ -571,7 +571,7 @@ class CompressedSink {
     }
     std::lock_guard<std::mutex> lk(mu_);
     // The connection's kHello epoch is authoritative: a rejoin bumps it,
-    // which must invalidate any delta base from the previous life.
+    // which must invalidate any RLZ base from the previous life.
     const uint32_t epoch = server_->site(f.from).epoch;
     if (epoch != receiver_.epoch()) receiver_.set_epoch(epoch);
     auto got = receiver_.Receive(kind, f.payload.data(), f.payload.size());
@@ -587,9 +587,9 @@ class CompressedSink {
   std::vector<std::pair<FrameType, StatusCode>> outcomes_;
 };
 
-TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
+TEST(SocketTransportTest, RejoinEpochInvalidatesRlzBase) {
   CompressionOptions copts;
-  copts.mode = CompressionMode::kDelta;
+  copts.mode = CompressionMode::kRlz;
   CompressedSink sink(copts);
   CoordinatorServer::Options sopt;
   sopt.heartbeat_timeout_ms = 100;
@@ -611,9 +611,7 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
     SketchWireImage img = sender.Ship(local);
     const FrameType type = img.kind == SketchWireKind::kFull
                                ? FrameType::kSketch
-                               : img.kind == SketchWireKind::kDelta
-                                     ? FrameType::kSketchDelta
-                                     : FrameType::kSketchRlz;
+                               : FrameType::kSketchRlz;
     ASSERT_TRUE(t->SendPayload(type, kCoordinatorNode,
                                std::move(img.bytes))
                     .ok());
@@ -629,7 +627,7 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
     feed(3'000, 71);
     ship(client->get());  // full snapshot primes the channel
     feed(60, 72);
-    ship(client->get());  // steady-state delta applies
+    ship(client->get());  // steady-state RLZ image applies
     ASSERT_TRUE(sink.WaitForCount(2));
     // Site crashes: connection drops, coordinator marks it down.
   }
@@ -637,8 +635,8 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
       [&] { return (*server)->site(9).health == SiteHealth::kDown; }));
 
   // Fault injection: the site rejoins under epoch 2 but resumes from its
-  // stale pre-crash channel state and immediately ships a delta stamped
-  // with the old epoch. The coordinator must refuse it — never a silent
+  // stale pre-crash channel state and immediately ships an RLZ image
+  // stamped with the old epoch. The coordinator must refuse it — never a silent
   // merge against the pre-crash base.
   topt.epoch = 2;
   auto again =
@@ -647,11 +645,11 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
   ASSERT_TRUE(WaitFor(
       [&] { return (*server)->site(9).epoch == 2; }));
   feed(60, 73);
-  ship(again->get());  // stale-epoch delta: must reject
+  ship(again->get());  // stale-epoch RLZ image: must reject
   ASSERT_TRUE(sink.WaitForCount(3));
 
-  // The site learns the new epoch: full-snapshot resync, then deltas
-  // flow again.
+  // The site learns the new epoch: full-snapshot resync, then RLZ
+  // images flow again.
   sender.set_epoch(2);
   ship(again->get());
   feed(60, 74);
@@ -662,15 +660,78 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
   ASSERT_EQ(outcomes.size(), 5u);
   EXPECT_EQ(outcomes[0], std::make_pair(FrameType::kSketch, StatusCode::kOk));
   EXPECT_EQ(outcomes[1],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kOk));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
   EXPECT_EQ(outcomes[2],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kStaleBase));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kStaleBase));
   EXPECT_EQ(outcomes[3], std::make_pair(FrameType::kSketch, StatusCode::kOk));
   EXPECT_EQ(outcomes[4],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kOk));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
   EXPECT_EQ((*server)->rejoins(), 1u);
   // After the resync the coordinator's decoded state is bit-identical to
   // the site's.
+  EXPECT_EQ(sink.received_image(), SerializeSketch(local));
+}
+
+TEST(SocketTransportTest, DeltaFrameRejectsWithoutMutation) {
+  CompressionOptions copts;
+  copts.mode = CompressionMode::kRlz;
+  CompressedSink sink(copts);
+  auto server =
+      CoordinatorServer::Start(0, CoordinatorServer::Options{}, sink.handler());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  sink.set_server(server->get());
+
+  EcmSketch<ExponentialHistogram> local(SketchCfg(62));
+  SketchSender<ExponentialHistogram> sender(copts);
+  Timestamp ts = 0;
+  auto feed = [&](int n, uint64_t seed) {
+    for (const StreamEvent& e : ZipfEvents(static_cast<size_t>(n), 1, seed)) {
+      local.Add(e.key, ++ts);
+    }
+  };
+  SocketTransport::Options topt;
+  topt.heartbeat_period_ms = 0;
+  auto client =
+      SocketTransport::Connect("127.0.0.1", (*server)->port(), 4, topt);
+  ASSERT_TRUE(client.ok());
+  auto send = [&](FrameType type, std::vector<uint8_t> bytes) {
+    ASSERT_TRUE(
+        (*client)->SendPayload(type, kCoordinatorNode, std::move(bytes)).ok());
+    ASSERT_TRUE((*client)->Flush().ok());
+  };
+
+  feed(3'000, 75);
+  SketchWireImage full = sender.Ship(local);
+  ASSERT_EQ(full.kind, SketchWireKind::kFull);
+  send(FrameType::kSketch, full.bytes);
+  feed(60, 76);
+  SketchWireImage rlz = sender.Ship(local);
+  ASSERT_EQ(rlz.kind, SketchWireKind::kRlz);
+  send(FrameType::kSketchRlz, rlz.bytes);
+  ASSERT_TRUE(sink.WaitForCount(2));
+  const std::vector<uint8_t> settled = sink.received_image();
+
+  // A delta frame carrying the last applied image's own bytes: neither a
+  // duplicate nor an image the receiver can apply.
+  send(FrameType::kSketchDelta, rlz.bytes);
+  ASSERT_TRUE(sink.WaitForCount(3));
+  EXPECT_EQ(sink.received_image(), settled);
+
+  // The RLZ chain continues on the untouched reference.
+  feed(60, 77);
+  SketchWireImage next = sender.Ship(local);
+  ASSERT_EQ(next.kind, SketchWireKind::kRlz);
+  send(FrameType::kSketchRlz, next.bytes);
+  ASSERT_TRUE(sink.WaitForCount(4));
+
+  auto outcomes = sink.outcomes();
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_EQ(outcomes[1],
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
+  EXPECT_EQ(outcomes[2].first, FrameType::kSketchDelta);
+  EXPECT_NE(outcomes[2].second, StatusCode::kOk);
+  EXPECT_EQ(outcomes[3],
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
   EXPECT_EQ(sink.received_image(), SerializeSketch(local));
 }
 
