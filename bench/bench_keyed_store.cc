@@ -10,15 +10,19 @@
 // Rows (committed to BENCH_prN.json, gated by tools/check_bench.py):
 //   keyed/1m/add-throughput        events/s, with p50_ns / p99_ns latency
 //   keyed/1m/mem-per-key           bytes = store heap bytes per live key
+//   keyed/small/mem-per-key        bytes = the same, 300 keys, budget 2048
 //   keyed/1m/mem-per-key-naive     bytes = SAM string-keyed map, per key
 //   keyed/1m/mem-per-key-naive-u64 bytes = uint64-keyed map, per key
 //   keyed/1m/admission-hit-rate    events/s = % of events absorbed exactly
 //
 // Memory rows are real allocator deltas (mallinfo2, main arena + mmap),
 // not self-reported accounting, measured with the same event sequence on
-// both sides. The mem-per-key row carries a --ceiling in CI; the naive
+// both sides. Both mem-per-key rows carry a --ceiling in CI; the naive
 // rows exist so the >= 5x claim in the README is re-measured on every
-// run, not quoted.
+// run, not quoted. The small-store row holds a few hundred keys of
+// widely varied arrival counts (11 slab size classes in use), the shape of
+// one site's store in the end-to-end benchmark: there the per-class slab
+// pages, not the per-key state, decide the footprint.
 
 #include <cstdio>
 #include <map>
@@ -109,21 +113,15 @@ void RunAddLatency() {
             FormatDouble(stats.p99_ns, 0)});
 }
 
-// Steady-state footprint pass: per-key event bursts (arrival locality),
-// measured as a real allocator delta around the store's lifetime.
-void RunStoreMemory() {
-  const ScaleWorkload w = MakeScale();
-  KeyedStoreConfig cfg;
-  cfg.epsilon = kEpsilon;
-  cfg.window_len = w.window;
-  cfg.max_keys = w.keys;
-
+// Fills a fresh store through `fill` and records its footprint per live
+// key: a real allocator delta around the store's lifetime, or the store's
+// own accounting where mallinfo2 is unavailable.
+template <typename Fill>
+void RecordStoreFootprint(const char* row, const std::string& title,
+                          const KeyedStoreConfig& cfg, Fill fill) {
   const size_t heap0 = HeapBytes();
   KeyedCounterStore store(cfg);
-  Timestamp ts = 0;
-  for (uint64_t k = 1; k <= w.keys; ++k) {
-    for (int j = 0; j < 3; ++j) store.Add(k, ++ts);
-  }
+  fill(store);
   const size_t heap1 = HeapBytes();
 
   const double live = static_cast<double>(store.LiveKeys());
@@ -131,12 +129,49 @@ void RunStoreMemory() {
   const double per_key =
       (heap1 > heap0 ? heap_delta : static_cast<double>(store.MemoryBytes())) /
       live;
-  RecordBenchResult("keyed/1m/mem-per-key", live, per_key);
-  PrintHeader("keyed store footprint @ " + std::to_string(w.keys) +
-                  " live keys",
-              {"live_keys", "heap_per_key", "accounted_per_key"});
+  RecordBenchResult(row, live, per_key);
+  PrintHeader(title, {"live_keys", "heap_per_key", "accounted_per_key"});
   PrintRow({FormatDouble(live, 0), FormatBytes(per_key),
             FormatBytes(static_cast<double>(store.MemoryBytes()) / live)});
+}
+
+// Steady-state footprint pass: per-key event bursts (arrival locality).
+void RunStoreMemory() {
+  const ScaleWorkload w = MakeScale();
+  KeyedStoreConfig cfg;
+  cfg.epsilon = kEpsilon;
+  cfg.window_len = w.window;
+  cfg.max_keys = w.keys;
+  RecordStoreFootprint(
+      "keyed/1m/mem-per-key",
+      "keyed store footprint @ " + std::to_string(w.keys) + " live keys", cfg,
+      [&](KeyedCounterStore& store) {
+        Timestamp ts = 0;
+        for (uint64_t k = 1; k <= w.keys; ++k) {
+          for (int j = 0; j < 3; ++j) store.Add(k, ++ts);
+        }
+      });
+}
+
+// Small-store footprint pass: a fixed population (no --smoke scaling; it
+// runs in milliseconds) whose keys see 1 to 1201 arrivals each.
+void RunSmallStoreMemory() {
+  constexpr uint64_t kKeys = 300;
+  KeyedStoreConfig cfg;
+  cfg.epsilon = kEpsilon;
+  cfg.window_len = 1ULL << 40;  // nothing expires
+  cfg.max_keys = 2048;
+  RecordStoreFootprint(
+      "keyed/small/mem-per-key",
+      "keyed store footprint @ " + std::to_string(kKeys) +
+          " live keys, budget " + std::to_string(cfg.max_keys),
+      cfg, [](KeyedCounterStore& store) {
+        Timestamp ts = 0;
+        for (uint64_t k = 0; k < kKeys; ++k) {
+          const uint64_t arrivals = 1 + (k * k * 7919) % 1201;
+          for (uint64_t j = 0; j < arrivals; ++j) store.Add(k + 1, ++ts);
+        }
+      });
 }
 
 // Conservative under-estimate used only when mallinfo2 is unavailable:
@@ -296,6 +331,7 @@ int main(int argc, char** argv) {
   ecm::bench::ParseBenchArgs(argc, argv);
   ecm::bench::RunAddLatency();
   ecm::bench::RunStoreMemory();
+  ecm::bench::RunSmallStoreMemory();
   ecm::bench::RunNaiveSamReference();
   ecm::bench::RunNaiveU64Reference();
   ecm::bench::RunAdmission();

@@ -27,7 +27,10 @@ uint32_t SlabArena::Allocate(uint8_t cls) {
   std::vector<uint32_t>& fl = free_[cls];
   if (fl.empty()) {
     const uint32_t block_slots = ClassSlots(cls);
-    const uint32_t page_slots = std::max(kPageSlots, block_slots);
+    const uint32_t nblocks =
+        std::max((kFirstPageSlots << carved_[cls]) / block_slots, 1u);
+    if (carved_[cls] < kPageDoublings) ++carved_[cls];
+    const uint32_t page_slots = nblocks * block_slots;
     Page page;
     page.slots.reset(new uint64_t[page_slots]);
     page.num_slots = page_slots;
@@ -35,7 +38,6 @@ uint32_t SlabArena::Allocate(uint8_t cls) {
     const uint32_t page_idx = static_cast<uint32_t>(pages_.size());
     assert(page_idx < (1u << (32 - kBlockBits)) - 1 &&
            "slab arena page index space exhausted");
-    const uint32_t nblocks = page_slots / block_slots;
     fl.reserve(fl.size() + nblocks);
     // Reversed so that blocks are handed out front-to-back within the page.
     for (uint32_t b = nblocks; b-- > 0;) {
@@ -211,7 +213,15 @@ void SlabEhPool::AddBatch(SlabEhState* s, Timestamp ts, uint64_t count) {
 }
 
 void SlabEhPool::Add(SlabEhState* s, Timestamp ts, uint64_t count) {
-  assert(ts < (1ULL << kLevelShift) && "timestamp exceeds slot encoding");
+  // Checked in every build type: a larger timestamp would OR into the
+  // level bits of its slot and corrupt the span.
+  if (ts > kEndMask) [[unlikely]] {
+    std::fprintf(stderr,
+                 "SlabEhPool: timestamp %llu exceeds the slot encoding "
+                 "bound 2^%d\n",
+                 static_cast<unsigned long long>(ts), kLevelShift);
+    std::abort();
+  }
   s->total += count;
   if (count == 1) {
     AddOne(s, ts);

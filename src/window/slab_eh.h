@@ -19,9 +19,12 @@
 //     timestamps ascending — every per-level operation of the classic
 //     algorithm becomes a binary search inside the span;
 //   * spans live in size-class blocks (jemalloc spacing: powers of two
-//     plus 1.5x midpoints) carved from 64 KiB slab pages; freed blocks
-//     recycle through per-class free lists, so admission/eviction churn
-//     never touches malloc in steady state;
+//     plus 1.5x midpoints) carved from slab pages that grow per class:
+//     a class's first page holds 1 KiB, each further page twice the
+//     last, up to 64 KiB — so a store of a few hundred keys holds a few
+//     KiB per class, while a million-key store runs on 64 KiB pages;
+//     freed blocks recycle through per-class free lists, so
+//     admission/eviction churn never touches malloc in steady state;
 //   * per-key header state is a 32-byte POD (SlabEhState) the caller
 //     embeds in its own record — the pool holds no per-key allocation.
 //
@@ -51,9 +54,14 @@ namespace ecm {
 /// Page-based slab allocator for 8-byte slot blocks in jemalloc-spaced
 /// size classes (2, 3, 4, 6, 8, 12, ..., 32768 slots — powers of two plus
 /// their 1.5x midpoints, so internal fragmentation is bounded by ~33%
-/// instead of 2x). Blocks are addressed by a 32-bit handle; freed blocks
-/// go to per-class free lists and are handed out again before any new
-/// page is carved.
+/// instead of 2x). Each page holds whole blocks of one class. A class's
+/// pages grow geometrically: the first holds kFirstPageSlots (1 KiB),
+/// each further one twice the last, capped at kPageSlots (64 KiB) — or
+/// one block, if that is larger — so a sparsely used class wastes at most
+/// ~1 KiB and a busy one reaches full-size pages after six doublings.
+/// Blocks are addressed by a 32-bit handle (page index, block index
+/// within the page); freed blocks go to per-class free lists and are
+/// handed out again before any new page is carved.
 class SlabArena {
  public:
   static constexpr uint32_t kNullBlock = 0xFFFFFFFFu;
@@ -61,7 +69,10 @@ class SlabArena {
   // million-key cold tail) pays 16 bytes of slab, a 3-bucket key 24.
   static constexpr uint32_t kMinBlockSlots = 2;
   static constexpr int kNumClasses = 29;
-  static constexpr uint32_t kPageSlots = 8192;  // 64 KiB pages
+  static constexpr uint32_t kFirstPageSlots = 128;  // 1 KiB first page
+  static constexpr uint32_t kPageSlots = 8192;      // 64 KiB page cap
+  static constexpr uint32_t kPageDoublings = 6;     // 1 KiB -> 64 KiB
+  static_assert(kFirstPageSlots << kPageDoublings == kPageSlots);
 
   /// Number of slots in a class-`cls` block.
   static uint32_t ClassSlots(uint8_t cls) { return kClassSlots[cls]; }
@@ -117,6 +128,10 @@ class SlabArena {
 
   std::vector<Page> pages_;
   std::array<std::vector<uint32_t>, kNumClasses> free_;
+  // Pages carved per class, saturating at kPageDoublings: the next page
+  // of class c holds kFirstPageSlots << carved_[c] slots' worth of whole
+  // blocks (at least one).
+  std::array<uint8_t, kNumClasses> carved_{};
   size_t live_blocks_ = 0;
 };
 
@@ -147,7 +162,8 @@ class SlabEhPool {
 
   /// Registers `count` arrivals at `ts` and expires what slid out,
   /// exactly like ExponentialHistogram::Add. Timestamps must be
-  /// non-decreasing per state and < 2^56 (the slot encoding bound).
+  /// non-decreasing per state and < 2^56 (the slot encoding bound); a
+  /// larger one aborts with a message, in every build type.
   void Add(SlabEhState* s, Timestamp ts, uint64_t count = 1);
 
   /// Drops buckets entirely outside the window ending at `now`; shrinks

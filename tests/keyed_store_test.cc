@@ -295,6 +295,23 @@ TEST(KeyedStoreDeathTest, EpsilonBelowSlabBoundAbortsWithMessage) {
       "SlabEhPool: epsilon 0.0001 needs 10002 buckets per level");
 }
 
+TEST(KeyedStoreDeathTest, TimestampPastSlotEncodingAbortsWithMessage) {
+  // A slot packs a bucket's level into the top 8 bits above a 56-bit end
+  // timestamp. A larger timestamp (nanosecond Unix time is ~1.7e18)
+  // would corrupt the key's span, so the add aborts — in Release too.
+  KeyedStoreConfig cfg;
+  cfg.epsilon = 0.1;
+  cfg.window_len = 1 << 20;
+  EXPECT_DEATH(
+      {
+        KeyedCounterStore store(cfg);
+        store.Add(42, (Timestamp{1} << 56) - 1);
+        store.Add(42, Timestamp{1} << 56);
+      },
+      "SlabEhPool: timestamp 72057594037927936 exceeds the slot encoding "
+      "bound 2\\^56");
+}
+
 // ---------------------------------------------------------------------------
 // Sketch-guarded admission / eviction / capacity
 // ---------------------------------------------------------------------------
