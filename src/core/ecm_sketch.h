@@ -302,12 +302,9 @@ class EcmSketch {
   /// All d per-row contributions of `key` at once (out[0..depth)): the
   /// statistics vector of the geometric point monitor, materialized with
   /// a single Mix64 pass instead of one hash per row. out[j] ==
-  /// PointQueryRowAt(key, j, range, now). When `cols_out` is non-null it
-  /// additionally receives the key's d row buckets — the incremental
-  /// drift tracker (dist/geometric.h) uses them to locate the touched
-  /// statistics-vector entries without a second hash pass.
+  /// PointQueryRowAt(key, j, range, now).
   void PointQueryRowsAt(uint64_t key, uint64_t range, Timestamp now,
-                        double* out, uint32_t* cols_out = nullptr) const {
+                        double* out) const {
     uint32_t cols[kMaxSketchDepth];
     hashes_.BucketsMixed(key, config_.width, cols);
     for (int j = 0; j < config_.depth; ++j) {
@@ -316,7 +313,6 @@ class EcmSketch {
     }
     for (int j = 0; j < config_.depth; ++j) {
       out[j] = CounterAt(j, cols[j]).Estimate(now, range);
-      if (cols_out) cols_out[j] = cols[j];
     }
   }
 

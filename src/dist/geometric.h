@@ -9,43 +9,37 @@
 // certified on that side; a ball touching the surface is a local
 // violation and forces a sync.
 //
-// Two monitors are provided, both counter-generic over the runtime's
-// Site<Counter> and charging syncs through its Transport:
+// Two monitors are provided, both counter-generic and running on the
+// runtime's Coordinator<Counter> (its sites, sketch config and Transport):
 //  * GeometricSelfJoinMonitorT — f is the sliding-window self-join size F₂
 //    (statistics vector = the site's full w×d counter-estimate grid);
 //  * GeometricPointMonitorT — f is one key's windowed count (statistics
 //    vector = the d per-row estimates of that key), the paper's §1
 //    distributed-trigger scenario.
 //
-// The sync/cadence state machine is identical for every choice of f, so
-// it lives once in GeometricMonitorBase (CRTP): ingest + drift
-// maintenance + sphere-test cadence on the local path, collect + average
-// + re-arm + wire charging on the sync path, and the stats aggregation.
-// A derived monitor supplies only the geometry of its f:
-//    UpdateDrift(st, key)   O(d) incremental drift maintenance
-//    RefreshVector(st)      full statistics-vector rebuild
-//    SphereViolation(st)    the local ball-vs-surface test
-//    InstallAverage()       f on the fresh global average + per-site
-//                           re-arm of f-specific ball state
+// The sync/cadence state machine and the drift tracking are identical for
+// every choice of f, so they live once in GeometricMonitorBase (CRTP).
+// Each arrival touches exactly one counter per row, so a site updates only
+// the statistics-vector cells backed by those counters, maintaining ‖δ_i‖²
+// by difference (ReevaluateCell); the sphere test is then O(d) per check
+// instead of an O(w·d) rebuild. Window expiry is handled exactly by a
+// per-counter expiry-event heap: every tracked counter reports the next
+// clock value at which its estimate can change
+// (Counter::NextEstimateChangeAt), the site keeps those events in a
+// min-heap, and each arrival drains the events that came due before the
+// sphere test — so the tracked vector equals the rebuilt one at every
+// check. The monitors therefore accept only counters with that hook
+// (ExpiryTrackedCounter: EH and RW). tests/test_oracles.h keeps the
+// full-rebuild reference the differential tests compare against.
 //
-// Drift tracking (the steady-state cost of the local sphere test):
-//  * kIncremental (default) — each arrival touches exactly one counter
-//    per row, so the site updates only those d statistics-vector entries
-//    (located via the sketch's PointQueryRowsAt hook) and maintains
-//    ‖δ_i‖² and the per-row ball-center norms by difference. The sphere
-//    test is then O(d) per check instead of the O(w·d) full rebuild.
-//    Window expiry is handled exactly by a per-counter expiry-event heap:
-//    every tracked counter reports the next clock value at which its
-//    estimate can change (Counter::NextEstimateChangeAt), the site keeps
-//    those events in a min-heap, and each arrival drains the events that
-//    came due before the sphere test — so the tracked vector equals the
-//    rebuilt one at every check, with no staleness window. The monitors
-//    therefore accept only counters with that hook (ExpiryTrackedCounter:
-//    EH and RW).
-//  * kRebuild — the legacy reference: every check re-materializes the
-//    full statistics vector and recomputes the ball fresh. Kept for
-//    differential tests (dist_runtime_test.cc verifies both modes sync
-//    on exactly the same arrivals) and bench ablations.
+// A derived monitor supplies only the geometry of its f:
+//    UpdateDrift(sk, st, key)          ReevaluateCell on the arrival's cells
+//    CellCounter(sk, cell)             the counter backing one cell
+//    MoveCenter(st, cell, old_d, new_d) f-specific ball-center bookkeeping
+//    CollectVector(sk, out)            the full statistics vector (syncs)
+//    SphereViolation(st)               the local ball-vs-surface test
+//    InstallAverage()                  f on the fresh global average +
+//                                      per-site re-arm of the ball state
 //
 // Parallel ingest: Process() is the sequential API (sync runs inline on
 // the violating arrival). ParallelIngest drives the split API instead —
@@ -61,7 +55,6 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -84,12 +77,6 @@ struct MonitorStats {
   NetworkStats network;
 };
 
-/// How a site maintains its drift δ_i between syncs (see file comment).
-enum class DriftTracking : uint8_t {
-  kIncremental = 0,  ///< O(d) per check: update only touched entries
-  kRebuild = 1,      ///< O(w·d) per check: full rebuild (legacy reference)
-};
-
 /// Estimated global self-join size of `sites`' union stream over the
 /// trailing `range`: merges the sketches order-preservingly (ε' =
 /// `eps_prime_sw`) and evaluates F₂ on the result.
@@ -110,7 +97,6 @@ Result<double> GlobalSelfJoin(const std::vector<EcmSketch<Counter>>& sites,
 struct GeometricMonitorConfig {
   double threshold = 0.0;    ///< alarm when the global f >= threshold
   uint64_t check_every = 1;  ///< sphere-test cadence, in per-site updates
-  DriftTracking drift = DriftTracking::kIncremental;
 };
 
 /// Counters that can report the next clock value at which their estimate
@@ -126,25 +112,22 @@ concept ExpiryTrackedCounter =
 
 namespace geom_internal {
 
-/// Per-site state every monitor keeps; f-specific monitors may extend it
-/// with extra ball bookkeeping (the self-join monitor's per-row norms).
-template <SlidingWindowCounter Counter>
+/// Per-site drift state every monitor keeps beside the Coordinator's
+/// site; f-specific monitors may extend it with extra ball bookkeeping
+/// (the self-join monitor's per-row norms).
 struct SiteStateBase {
   using ExpiryEvent = std::pair<Timestamp, uint32_t>;  // (when, cell)
 
-  SiteStateBase(NodeId id, const EcmConfig& cfg, size_t dim)
-      : node(id, cfg), v_sync(dim, 0.0), v_cur(dim, 0.0), scheduled(dim, 0) {}
-  Site<Counter> node;
+  explicit SiteStateBase(size_t dim)
+      : v_sync(dim, 0.0), v_cur(dim, 0.0), scheduled(dim, 0) {}
   std::vector<double> v_sync;  ///< statistics vector at the last sync
   std::vector<double> v_cur;   ///< tracked current statistics vector
   double radius_sq = 0.0;      ///< ‖δ‖²
-  uint64_t updates = 0;        ///< arrivals (stats)
   uint64_t cadence_ticks = 0;  ///< arrivals since the initial sync
   uint64_t checks = 0;
   uint64_t violations = 0;
   /// Min-heap of pending estimate-change events (lazy deletion: an entry
-  /// is live iff it matches `scheduled` for its cell). Unused in kRebuild
-  /// mode.
+  /// is live iff it matches `scheduled` for its cell).
   std::priority_queue<ExpiryEvent, std::vector<ExpiryEvent>,
                       std::greater<ExpiryEvent>>
       expiry_heap;
@@ -152,18 +135,17 @@ struct SiteStateBase {
   std::vector<Timestamp> scheduled;
 };
 
-template <SlidingWindowCounter Counter>
-struct SelfJoinSiteState : SiteStateBase<Counter> {
-  SelfJoinSiteState(NodeId id, const EcmConfig& cfg, size_t dim, int depth)
-      : SiteStateBase<Counter>(id, cfg, dim),
-        row_sq(static_cast<size_t>(depth), 0.0) {}
+struct SelfJoinSiteState : SiteStateBase {
+  SelfJoinSiteState(size_t dim, int depth)
+      : SiteStateBase(dim), row_sq(static_cast<size_t>(depth), 0.0) {}
   std::vector<double> row_sq;  ///< per-row ‖e + δ/2‖² (ball-center norms)
 };
 
 }  // namespace geom_internal
 
-/// CRTP base: the f-independent sync/cadence scaffolding (see the file
-/// comment for the four hooks a derived monitor implements).
+/// CRTP base: the f-independent sync/cadence scaffolding and drift
+/// tracking (see the file comment for the hooks a derived monitor
+/// implements).
 template <typename Derived, ExpiryTrackedCounter Counter, typename SiteState>
 class GeometricMonitorBase {
  public:
@@ -180,20 +162,17 @@ class GeometricMonitorBase {
   /// owns `site`): ingest, drift maintenance, sphere test. Returns true
   /// iff a global sync is required.
   bool LocalProcess(int site, uint64_t key, Timestamp ts, uint64_t count = 1) {
-    SiteState& st = sites_[static_cast<size_t>(site)];
-    st.node.Ingest(key, ts, count);
-    ++st.updates;
+    Site<Counter>& node = coord_.site(site);
+    node.Ingest(key, ts, count);
     if (!synced_once_) return true;  // initial sync still outstanding
-    if (config_.drift == DriftTracking::kIncremental) {
-      // Replay every estimate-change event the clock has passed before
-      // folding in this arrival, so untouched entries are exact too.
-      DrainExpiryEvents(&st);
-      derived().UpdateDrift(&st, key);
-    }
+    SiteState& st = states_[static_cast<size_t>(site)];
+    // Replay every estimate-change event the clock has passed before
+    // folding in this arrival, so untouched entries are exact too.
+    DrainExpiryEvents(node.sketch(), &st);
+    derived().UpdateDrift(node.sketch(), &st, key);
     const uint64_t cadence = std::max<uint64_t>(config_.check_every, 1);
     if (++st.cadence_ticks % cadence != 0) return false;
     ++st.checks;
-    if (config_.drift == DriftTracking::kRebuild) derived().RefreshVector(&st);
     if (!derived().SphereViolation(st)) return false;
     ++st.violations;
     return true;
@@ -203,10 +182,11 @@ class GeometricMonitorBase {
   /// the new global average and re-arms all drift state. Requires every
   /// worker quiescent (ParallelIngest's barrier, or the sequential path).
   void GlobalSync() {
-    const size_t n = sites_.size();
+    const int n = coord_.num_sites();
     std::fill(e_avg_.begin(), e_avg_.end(), 0.0);
-    for (SiteState& st : sites_) {
-      derived().RefreshVector(&st);
+    for (int i = 0; i < n; ++i) {
+      SiteState& st = states_[static_cast<size_t>(i)];
+      derived().CollectVector(coord_.site(i).sketch(), st.v_cur.data());
       st.v_sync = st.v_cur;
       for (size_t k = 0; k < dim_; ++k) e_avg_[k] += st.v_sync[k];
     }
@@ -220,24 +200,30 @@ class GeometricMonitorBase {
     if (!was_above && above_) ++stats_.crossings_signaled;
     ++stats_.syncs;
     synced_once_ = true;
-    for (SiteState& st : sites_) st.radius_sq = 0.0;
-    if (config_.drift == DriftTracking::kIncremental) {
-      for (SiteState& st : sites_) RebuildExpirySchedule(&st);
+    for (int i = 0; i < n; ++i) {
+      SiteState& st = states_[static_cast<size_t>(i)];
+      st.radius_sq = 0.0;
+      RebuildExpirySchedule(coord_.site(i).sketch(), &st);
     }
 
-    // Vectors up, the average back down — the sync's wire cost.
+    // Vectors up, the average back down — the sync's wire cost. These
+    // are raw statistics vectors, not sketch images, so they bypass the
+    // coordinator's sketch channels.
     const size_t bytes = dim_ * sizeof(double);
-    for (const SiteState& st : sites_) {
-      transport_->Send(st.node.id(), kCoordinatorNode,
-                       reinterpret_cast<const uint8_t*>(st.v_sync.data()),
-                       bytes);
+    Transport& transport = coord_.transport();
+    for (int i = 0; i < n; ++i) {
+      transport.Send(
+          coord_.site(i).id(), kCoordinatorNode,
+          reinterpret_cast<const uint8_t*>(
+              states_[static_cast<size_t>(i)].v_sync.data()),
+          bytes);
     }
-    for (const SiteState& st : sites_) {
-      transport_->Send(kCoordinatorNode, st.node.id(),
-                       reinterpret_cast<const uint8_t*>(e_avg_.data()), bytes);
+    for (int i = 0; i < n; ++i) {
+      transport.Send(kCoordinatorNode, coord_.site(i).id(),
+                     reinterpret_cast<const uint8_t*>(e_avg_.data()), bytes);
     }
-    stats_.network.messages += 2 * n;
-    stats_.network.bytes += 2ull * n * bytes;
+    stats_.network.messages += 2ull * static_cast<uint64_t>(n);
+    stats_.network.bytes += 2ull * static_cast<uint64_t>(n) * bytes;
   }
 
   /// Side of the threshold established by the most recent sync.
@@ -250,8 +236,9 @@ class GeometricMonitorBase {
   /// parallel workers never contend on shared counters).
   MonitorStats stats() const {
     MonitorStats s = stats_;
-    for (const SiteState& st : sites_) {
-      s.updates += st.updates;
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      const SiteState& st = states_[static_cast<size_t>(i)];
+      s.updates += coord_.site(i).updates();
       s.local_checks += st.checks;
       s.local_violations += st.violations;
     }
@@ -259,25 +246,22 @@ class GeometricMonitorBase {
   }
 
   const EcmSketch<Counter>& site_sketch(int site) const {
-    return sites_[static_cast<size_t>(site)].node.sketch();
+    return coord_.site(site).sketch();
   }
 
-  Transport& transport() { return *transport_; }
+  Transport& transport() { return coord_.transport(); }
 
  protected:
-  GeometricMonitorBase(const EcmConfig& sketch_config,
+  /// `initial` is one site's zeroed drift state; every site starts from a
+  /// copy, and its vector length fixes the statistics-vector dimension.
+  GeometricMonitorBase(int num_sites, const EcmConfig& sketch_config,
                        const GeometricMonitorConfig& config,
-                       Transport* transport, size_t dim)
-      : sketch_config_(sketch_config),
+                       Transport* transport, const SiteState& initial)
+      : coord_(num_sites, sketch_config, transport),
         config_(config),
-        transport_(transport),
-        dim_(dim),
-        e_avg_(dim, 0.0) {
-    if (!transport_) {
-      owned_transport_ = std::make_unique<LoopbackTransport>();
-      transport_ = owned_transport_.get();
-    }
-  }
+        dim_(initial.v_cur.size()),
+        states_(static_cast<size_t>(num_sites), initial),
+        e_avg_(dim_, 0.0) {}
 
   ~GeometricMonitorBase() = default;
 
@@ -286,7 +270,9 @@ class GeometricMonitorBase {
     return static_cast<const Derived&>(*this);
   }
 
-  // --- per-counter expiry-event heap (kIncremental) ----------------------
+  const EcmConfig& sketch_config() const { return coord_.config(); }
+
+  // --- drift tracking and the per-counter expiry-event heap --------------
   //
   // Every cell of the tracked statistics vector is backed by one counter;
   // its estimate moves either when an arrival touches it (UpdateDrift
@@ -295,6 +281,28 @@ class GeometricMonitorBase {
   // live heap entry at the counter's self-reported next change time;
   // DrainExpiryEvents replays the due entries before every sphere test, so
   // the incremental vector is exact — no periodic staleness refresh.
+
+  /// Re-reads cell `cell`'s estimate, folds the change into ‖δ‖² (and,
+  /// through MoveCenter, the derived ball state) by difference, and
+  /// reschedules the cell's expiry event. An arrival changes the backing
+  /// counter's content, so the reschedule runs even when the estimate
+  /// value happens to be unchanged right now.
+  void ReevaluateCell(const EcmSketch<Counter>& sk, SiteState* st,
+                      uint32_t cell) {
+    const Timestamp now = sk.Now();
+    const uint64_t range = sketch_config().window_len;
+    const Counter& c = derived().CellCounter(sk, cell);
+    const double new_v = c.Estimate(now, range);
+    const double old_v = st->v_cur[cell];
+    if (new_v != old_v) {
+      const double old_d = old_v - st->v_sync[cell];
+      const double new_d = new_v - st->v_sync[cell];
+      st->radius_sq += new_d * new_d - old_d * old_d;
+      derived().MoveCenter(st, cell, old_d, new_d);
+      st->v_cur[cell] = new_v;
+    }
+    ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
+  }
 
   /// Registers cell `cell`'s next estimate-change event. `when` == 0 means
   /// the estimate can never change again without an arrival. A later event
@@ -310,39 +318,37 @@ class GeometricMonitorBase {
 
   /// Replays every scheduled estimate-change event at or before the
   /// site's clock; each live event re-evaluates its cell and reschedules.
-  void DrainExpiryEvents(SiteState* st) {
-    const Timestamp now = st->node.sketch().Now();
+  void DrainExpiryEvents(const EcmSketch<Counter>& sk, SiteState* st) {
+    const Timestamp now = sk.Now();
     auto& heap = st->expiry_heap;
     while (!heap.empty() && heap.top().first <= now) {
       const auto [when, cell] = heap.top();
       heap.pop();
       if (st->scheduled[cell] != when) continue;  // superseded entry
       st->scheduled[cell] = 0;
-      derived().ReevaluateCell(st, cell);
+      ReevaluateCell(sk, st, cell);
     }
   }
 
   /// Re-seeds the full schedule from scratch (after a sync refresh, when
   /// every cell was just re-evaluated exactly).
-  void RebuildExpirySchedule(SiteState* st) {
+  void RebuildExpirySchedule(const EcmSketch<Counter>& sk, SiteState* st) {
     st->expiry_heap = {};
     std::fill(st->scheduled.begin(), st->scheduled.end(), 0);
-    const Timestamp now = st->node.sketch().Now();
+    const Timestamp now = sk.Now();
     for (size_t k = 0; k < dim_; ++k) {
-      ScheduleCell(st, static_cast<uint32_t>(k),
-                   derived()
-                       .CellCounter(*st, static_cast<uint32_t>(k))
-                       .NextEstimateChangeAt(now, sketch_config_.window_len));
+      const auto cell = static_cast<uint32_t>(k);
+      ScheduleCell(st, cell,
+                   derived().CellCounter(sk, cell).NextEstimateChangeAt(
+                       now, sketch_config().window_len));
     }
   }
 
-  EcmConfig sketch_config_;
+  Coordinator<Counter> coord_;
   GeometricMonitorConfig config_;
-  Transport* transport_;
-  std::unique_ptr<Transport> owned_transport_;
   size_t dim_;
-  std::vector<SiteState> sites_;
-  std::vector<double> e_avg_;  ///< global average at last sync
+  std::vector<SiteState> states_;  ///< drift state of coord_.site(i)
+  std::vector<double> e_avg_;      ///< global average at last sync
   double estimate_ = 0.0;
   bool above_ = false;
   bool synced_once_ = false;
@@ -353,8 +359,8 @@ class GeometricMonitorBase {
 template <ExpiryTrackedCounter Counter>
 class GeometricSelfJoinMonitorT
     : public GeometricMonitorBase<GeometricSelfJoinMonitorT<Counter>, Counter,
-                                  geom_internal::SelfJoinSiteState<Counter>> {
-  using SiteState = geom_internal::SelfJoinSiteState<Counter>;
+                                  geom_internal::SelfJoinSiteState> {
+  using SiteState = geom_internal::SelfJoinSiteState;
   using Base = GeometricMonitorBase<GeometricSelfJoinMonitorT, Counter,
                                     SiteState>;
   friend Base;
@@ -365,117 +371,57 @@ class GeometricSelfJoinMonitorT
   GeometricSelfJoinMonitorT(int num_sites, const EcmConfig& sketch_config,
                             const Config& config,
                             Transport* transport = nullptr)
-      : Base(sketch_config, config, transport,
-             static_cast<size_t>(sketch_config.width) *
-                 sketch_config.depth) {
-    this->sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      this->sites_.emplace_back(i, sketch_config, this->dim_,
-                                sketch_config.depth);
-    }
-  }
+      : Base(num_sites, sketch_config, config, transport,
+             SiteState(static_cast<size_t>(sketch_config.width) *
+                           static_cast<size_t>(sketch_config.depth),
+                       sketch_config.depth)) {}
 
  private:
-  /// O(d) incremental maintenance: the arrival of `key` touched exactly
-  /// one counter per row; re-evaluate those d entries and update ‖δ‖²
-  /// and the per-row center norms by difference.
-  void UpdateDrift(SiteState* st, uint64_t key) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    double ests[kMaxSketchDepth];
+  /// The arrival of `key` touched exactly one counter per row; re-evaluate
+  /// those d cells.
+  void UpdateDrift(const EcmSketch<Counter>& sk, SiteState* st,
+                   uint64_t key) {
     uint32_t cols[kMaxSketchDepth];
-    sk.PointQueryRowsAt(key, this->sketch_config_.window_len, now, ests,
-                        cols);
-    const uint32_t width = this->sketch_config_.width;
-    for (int j = 0; j < this->sketch_config_.depth; ++j) {
-      const size_t k = static_cast<size_t>(j) * width + cols[j];
-      // The arrival changed this counter's content, so its pending
-      // expiry event may be stale — reschedule even if the estimate
-      // value happens to be unchanged right now.
-      this->ScheduleCell(st, static_cast<uint32_t>(k),
-                         sk.CounterAt(j, cols[j]).NextEstimateChangeAt(
-                             now, this->sketch_config_.window_len));
-      const double new_v = ests[j];
-      const double old_v = st->v_cur[k];
-      if (new_v == old_v) continue;
-      const double old_d = old_v - st->v_sync[k];
-      const double new_d = new_v - st->v_sync[k];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      const double old_c = this->e_avg_[k] + 0.5 * old_d;
-      const double new_c = this->e_avg_[k] + 0.5 * new_d;
-      st->row_sq[static_cast<size_t>(j)] += new_c * new_c - old_c * old_c;
-      st->v_cur[k] = new_v;
+    sk.RowBuckets(key, cols);
+    const uint32_t width = this->sketch_config().width;
+    for (int j = 0; j < this->sketch_config().depth; ++j) {
+      this->ReevaluateCell(sk, st, static_cast<uint32_t>(j) * width + cols[j]);
     }
   }
 
-  /// The counter backing statistics-vector cell `k` (row-major grid).
-  const Counter& CellCounter(const SiteState& st, uint32_t cell) const {
-    const uint32_t width = this->sketch_config_.width;
-    return st.node.sketch().CounterAt(static_cast<int>(cell / width),
-                                      cell % width);
+  /// The counter backing statistics-vector cell `cell` (row-major grid).
+  const Counter& CellCounter(const EcmSketch<Counter>& sk,
+                             uint32_t cell) const {
+    const uint32_t width = this->sketch_config().width;
+    return sk.CounterAt(static_cast<int>(cell / width), cell % width);
   }
 
-  /// Expiry-event replay for one cell: window expiry moved (or may have
-  /// moved) the cell's estimate with no arrival touching it. Same
-  /// difference updates as UpdateDrift, then reschedule.
-  void ReevaluateCell(SiteState* st, uint32_t cell) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    const uint32_t width = this->sketch_config_.width;
-    const int row = static_cast<int>(cell / width);
-    const Counter& c = sk.CounterAt(row, cell % width);
-    const uint64_t range = this->sketch_config_.window_len;
-    const double new_v = c.Estimate(now, range);
-    const double old_v = st->v_cur[cell];
-    if (new_v != old_v) {
-      const double old_d = old_v - st->v_sync[cell];
-      const double new_d = new_v - st->v_sync[cell];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      const double old_c = this->e_avg_[cell] + 0.5 * old_d;
-      const double new_c = this->e_avg_[cell] + 0.5 * new_d;
-      st->row_sq[static_cast<size_t>(row)] += new_c * new_c - old_c * old_c;
-      st->v_cur[cell] = new_v;
-    }
-    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
+  /// Keeps the cell's row ball-center norm ‖e + δ/2‖² current by
+  /// difference.
+  void MoveCenter(SiteState* st, uint32_t cell, double old_d, double new_d) {
+    const double old_c = this->e_avg_[cell] + 0.5 * old_d;
+    const double new_c = this->e_avg_[cell] + 0.5 * new_d;
+    st->row_sq[cell / this->sketch_config().width] +=
+        new_c * new_c - old_c * old_c;
   }
 
-  /// Full O(w·d) re-materialization of the site's statistics vector and
-  /// exact recomputation of the ball quantities — the rebuild reference
-  /// and the sync collection path.
-  void RefreshVector(SiteState* st) const {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    const uint32_t width = this->sketch_config_.width;
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
-      sk.EstimateRowAt(row, this->sketch_config_.window_len, now,
-                       &st->v_cur[static_cast<size_t>(row) * width]);
-    }
-    double radius_sq = 0.0;
-    for (size_t k = 0; k < this->dim_; ++k) {
-      const double drift = st->v_cur[k] - st->v_sync[k];
-      radius_sq += drift * drift;
-    }
-    st->radius_sq = radius_sq;
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
-      double norm_sq = 0.0;
-      for (uint32_t col = 0; col < width; ++col) {
-        const size_t k = static_cast<size_t>(row) * width + col;
-        const double c =
-            this->e_avg_[k] + 0.5 * (st->v_cur[k] - st->v_sync[k]);
-        norm_sq += c * c;
-      }
-      st->row_sq[static_cast<size_t>(row)] = norm_sq;
+  /// The full w×d counter-estimate grid, row by row.
+  void CollectVector(const EcmSketch<Counter>& sk, double* out) const {
+    const EcmConfig& cfg = this->sketch_config();
+    for (int row = 0; row < cfg.depth; ++row) {
+      sk.EstimateRowAt(row, cfg.window_len, sk.Now(),
+                       out + static_cast<size_t>(row) * cfg.width);
     }
   }
 
   /// O(d) sphere test from the maintained ball quantities: f over the
   /// ball is bounded row by row by (‖c_row‖ ± r)².
   bool SphereViolation(const SiteState& st) const {
-    const double n = static_cast<double>(this->sites_.size());
+    const double n = static_cast<double>(this->states_.size());
     const double threshold_avg = this->config_.threshold / (n * n);
     const double radius = 0.5 * std::sqrt(std::max(st.radius_sq, 0.0));
     double bound = std::numeric_limits<double>::infinity();
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
+    for (int row = 0; row < this->sketch_config().depth; ++row) {
       const double norm =
           std::sqrt(std::max(st.row_sq[static_cast<size_t>(row)], 0.0));
       const double extreme =
@@ -489,11 +435,11 @@ class GeometricSelfJoinMonitorT
   /// center norms are shared across sites — and f on the average vector
   /// is their row-wise minimum, scaled by n².
   double InstallAverage() {
-    const uint32_t width = this->sketch_config_.width;
-    std::vector<double> base_row_sq(
-        static_cast<size_t>(this->sketch_config_.depth));
+    const uint32_t width = this->sketch_config().width;
+    const int depth = this->sketch_config().depth;
+    std::vector<double> base_row_sq(static_cast<size_t>(depth));
     double f_avg = std::numeric_limits<double>::infinity();
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
+    for (int row = 0; row < depth; ++row) {
       double norm_sq = 0.0;
       for (uint32_t col = 0; col < width; ++col) {
         const double v = this->e_avg_[static_cast<size_t>(row) * width + col];
@@ -502,8 +448,8 @@ class GeometricSelfJoinMonitorT
       base_row_sq[static_cast<size_t>(row)] = norm_sq;
       f_avg = std::min(f_avg, norm_sq);
     }
-    for (SiteState& st : this->sites_) st.row_sq = base_row_sq;
-    const double n = static_cast<double>(this->sites_.size());
+    for (SiteState& st : this->states_) st.row_sq = base_row_sq;
+    const double n = static_cast<double>(this->states_.size());
     return n * n * f_avg;
   }
 };
@@ -514,8 +460,8 @@ class GeometricSelfJoinMonitorT
 template <ExpiryTrackedCounter Counter>
 class GeometricPointMonitorT
     : public GeometricMonitorBase<GeometricPointMonitorT<Counter>, Counter,
-                                  geom_internal::SiteStateBase<Counter>> {
-  using SiteState = geom_internal::SiteStateBase<Counter>;
+                                  geom_internal::SiteStateBase> {
+  using SiteState = geom_internal::SiteStateBase;
   using Base =
       GeometricMonitorBase<GeometricPointMonitorT, Counter, SiteState>;
   friend Base;
@@ -527,89 +473,51 @@ class GeometricPointMonitorT
 
   GeometricPointMonitorT(int num_sites, const EcmConfig& sketch_config,
                          const Config& config, Transport* transport = nullptr)
-      : Base(sketch_config, config, transport,
-             static_cast<size_t>(sketch_config.depth)),
+      : Base(num_sites, sketch_config, config, transport,
+             SiteState(static_cast<size_t>(sketch_config.depth))),
         key_(config.key) {
-    this->sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      this->sites_.emplace_back(i, sketch_config, this->dim_);
-    }
     // All sites share the hash seed, so the watched key's row buckets are
     // site-independent.
     std::fill(watched_cols_, watched_cols_ + kMaxSketchDepth, 0u);
-    if (!this->sites_.empty()) {
-      this->sites_[0].node.sketch().RowBuckets(key_, watched_cols_);
+    if (num_sites > 0) {
+      this->coord_.site(0).sketch().RowBuckets(key_, watched_cols_);
     }
   }
 
  private:
   /// The watched key's row-j entry moves only when an arrival collides
-  /// with it in row j; compare the arrival's buckets against the watched
-  /// buckets and re-evaluate just the collided rows.
-  void UpdateDrift(SiteState* st, uint64_t key) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
+  /// with it in row j; re-evaluate just the collided rows.
+  void UpdateDrift(const EcmSketch<Counter>& sk, SiteState* st,
+                   uint64_t key) {
     uint32_t cols[kMaxSketchDepth];
     sk.RowBuckets(key, cols);
-    const Timestamp now = sk.Now();
-    for (int j = 0; j < this->sketch_config_.depth; ++j) {
-      if (cols[j] != watched_cols_[j]) continue;
-      const Counter& c = sk.CounterAt(j, watched_cols_[j]);
-      this->ScheduleCell(
-          st, static_cast<uint32_t>(j),
-          c.NextEstimateChangeAt(now, this->sketch_config_.window_len));
-      const double new_v = c.Estimate(now, this->sketch_config_.window_len);
-      const size_t k = static_cast<size_t>(j);
-      const double old_v = st->v_cur[k];
-      if (new_v == old_v) continue;
-      const double old_d = old_v - st->v_sync[k];
-      const double new_d = new_v - st->v_sync[k];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      st->v_cur[k] = new_v;
+    for (int j = 0; j < this->sketch_config().depth; ++j) {
+      if (cols[j] == watched_cols_[j]) {
+        this->ReevaluateCell(sk, st, static_cast<uint32_t>(j));
+      }
     }
   }
 
   /// Cell j of the watched key's statistics vector = row j's counter at
   /// the key's bucket.
-  const Counter& CellCounter(const SiteState& st, uint32_t cell) const {
-    return st.node.sketch().CounterAt(static_cast<int>(cell),
-                                      watched_cols_[cell]);
+  const Counter& CellCounter(const EcmSketch<Counter>& sk,
+                             uint32_t cell) const {
+    return sk.CounterAt(static_cast<int>(cell), watched_cols_[cell]);
   }
 
-  /// Expiry-event replay for row `cell` (see the self-join monitor).
-  void ReevaluateCell(SiteState* st, uint32_t cell) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    const Counter& c =
-        sk.CounterAt(static_cast<int>(cell), watched_cols_[cell]);
-    const uint64_t range = this->sketch_config_.window_len;
-    const double new_v = c.Estimate(now, range);
-    const double old_v = st->v_cur[cell];
-    if (new_v != old_v) {
-      const double old_d = old_v - st->v_sync[cell];
-      const double new_d = new_v - st->v_sync[cell];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      st->v_cur[cell] = new_v;
-    }
-    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
-  }
+  /// The sphere test recomputes its centers from the tracked entries, so
+  /// there is no ball state to move.
+  void MoveCenter(SiteState*, uint32_t, double, double) {}
 
-  void RefreshVector(SiteState* st) const {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    sk.PointQueryRowsAt(key_, this->sketch_config_.window_len, now,
-                        st->v_cur.data());
-    double radius_sq = 0.0;
-    for (size_t k = 0; k < this->dim_; ++k) {
-      const double drift = st->v_cur[k] - st->v_sync[k];
-      radius_sq += drift * drift;
-    }
-    st->radius_sq = radius_sq;
+  void CollectVector(const EcmSketch<Counter>& sk, double* out) const {
+    sk.PointQueryRowsAt(key_, this->sketch_config().window_len, sk.Now(),
+                        out);
   }
 
   /// f = min_j is 1-Lipschitz: over the ball it stays within ±r of
   /// min_j c_j, computed fresh from the d tracked entries (O(d)).
   bool SphereViolation(const SiteState& st) const {
-    const double n = static_cast<double>(this->sites_.size());
+    const double n = static_cast<double>(this->states_.size());
     const double threshold_avg = this->config_.threshold / n;
     const double radius = 0.5 * std::sqrt(std::max(st.radius_sq, 0.0));
     double min_center = std::numeric_limits<double>::infinity();
@@ -625,7 +533,7 @@ class GeometricPointMonitorT
   /// f on the average is the minimum per-row estimate, scaled by n; no
   /// extra per-site ball state to re-arm beyond the shared ‖δ‖² reset.
   double InstallAverage() {
-    return static_cast<double>(this->sites_.size()) *
+    return static_cast<double>(this->states_.size()) *
            *std::min_element(this->e_avg_.begin(), this->e_avg_.end());
   }
 

@@ -1,7 +1,7 @@
 // The shared distributed runtime (§5–§6): one Site/Coordinator/Transport
-// substrate under every distributed structure in the repo, instead of the
-// three private site/coordinator plumbings the aggregation tree, the
-// scheduled propagator and the geometric monitors used to carry.
+// substrate under every distributed structure in the repo. The scheduled
+// propagator and both geometric monitors each run on a Coordinator, and
+// the aggregation tree is its AggregateUp view.
 //
 //  * Site<Counter>      — one observation point (dist/site.h): a
 //    counter-generic EcmSketch plus an optional dyadic stack, with

@@ -4,7 +4,8 @@
 //    NetworkStats on identical scripts (aggregation tree, scheduled
 //    propagation, geometric monitoring all charge one currency);
 //  * incremental drift tracking fires syncs on exactly the same arrivals
-//    as the full-rebuild reference across randomized multi-site streams;
+//    as the full-rebuild reference (oracle::RebuildGeometricMonitor)
+//    across randomized multi-site streams;
 //  * counter-generic monitor instantiations (EH + RW) behave;
 //  * ParallelIngest: sharded multi-threaded ingest matches sequential
 //    semantics where they must agree, and the sync barrier drains the
@@ -21,6 +22,7 @@
 #include "src/dist/periodic.h"
 #include "src/dist/serialize.h"
 #include "src/stream/generators.h"
+#include "tests/test_oracles.h"
 
 namespace ecm {
 namespace {
@@ -268,12 +270,11 @@ TEST(TransportAccountingTest, SharedTransportSumsAllSubstrates) {
 
 // --- Incremental drift vs full rebuild: same sync arrivals -----------------
 
-template <typename Monitor, typename Config>
-std::vector<size_t> SyncArrivals(int sites, const EcmConfig& cfg, Config mc,
-                                 DriftTracking drift,
+// Arrival indices at which `monitor` (a library monitor or the rebuild
+// oracle) fired a global sync.
+template <typename Monitor>
+std::vector<size_t> SyncArrivals(Monitor& monitor,
                                  const std::vector<StreamEvent>& events) {
-  mc.drift = drift;
-  Monitor monitor(sites, cfg, mc);
   std::vector<size_t> syncs;
   for (size_t i = 0; i < events.size(); ++i) {
     if (monitor.Process(static_cast<int>(events[i].node), events[i].key,
@@ -286,8 +287,8 @@ std::vector<size_t> SyncArrivals(int sites, const EcmConfig& cfg, Config mc,
 
 TEST(IncrementalDriftTest, SelfJoinSyncsOnSameArrivalsAsRebuild) {
   // Randomized multi-site streams (within the window, where the tracked
-  // vector is exactly the rebuilt one): both modes must fire global
-  // syncs on identical arrivals.
+  // vector is exactly the rebuilt one): the monitor and the rebuild
+  // reference must fire global syncs on identical arrivals.
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     EcmConfig cfg = SketchCfg(50 + seed);
     auto events = ZipfEvents(15'000, 3, 100 + seed, /*skew=*/1.2);
@@ -300,10 +301,10 @@ TEST(IncrementalDriftTest, SelfJoinSyncsOnSameArrivalsAsRebuild) {
     GeometricSelfJoinMonitor::Config mc;
     mc.threshold = *f2 * 0.6;
     mc.check_every = 4;
-    auto inc = SyncArrivals<GeometricSelfJoinMonitor>(
-        3, cfg, mc, DriftTracking::kIncremental, events);
-    auto reb = SyncArrivals<GeometricSelfJoinMonitor>(
-        3, cfg, mc, DriftTracking::kRebuild, events);
+    GeometricSelfJoinMonitor monitor(3, cfg, mc);
+    oracle::RebuildGeometricMonitor reference(3, cfg, mc);
+    auto inc = SyncArrivals(monitor, events);
+    auto reb = SyncArrivals(reference, events);
     EXPECT_GE(inc.size(), 2u) << "seed " << seed;
     EXPECT_EQ(inc, reb) << "seed " << seed;
   }
@@ -329,10 +330,10 @@ TEST(IncrementalDriftTest, PointMonitorSyncsOnSameArrivalsAsRebuild) {
     mc.key = 0xBEEF;
     mc.threshold = 1'200;
     mc.check_every = 2;
-    auto inc = SyncArrivals<GeometricPointMonitor>(
-        4, cfg, mc, DriftTracking::kIncremental, script);
-    auto reb = SyncArrivals<GeometricPointMonitor>(
-        4, cfg, mc, DriftTracking::kRebuild, script);
+    GeometricPointMonitor monitor(4, cfg, mc);
+    oracle::RebuildGeometricMonitor reference(4, cfg, mc);
+    auto inc = SyncArrivals(monitor, script);
+    auto reb = SyncArrivals(reference, script);
     EXPECT_GE(inc.size(), 2u) << "seed " << seed;
     EXPECT_EQ(inc, reb) << "seed " << seed;
   }
@@ -349,42 +350,42 @@ TEST(IncrementalDriftTest, SameEstimatesAndCrossingsAsRebuild) {
   GeometricSelfJoinMonitor::Config mc;
   mc.threshold = *f2 * 2.0;
   mc.check_every = 2;
-  mc.drift = DriftTracking::kIncremental;
   GeometricSelfJoinMonitor inc(2, cfg, mc);
-  mc.drift = DriftTracking::kRebuild;
-  GeometricSelfJoinMonitor reb(2, cfg, mc);
-  for (const auto& e : events) {
-    inc.Process(static_cast<int>(e.node), e.key, e.ts);
-    reb.Process(static_cast<int>(e.node), e.key, e.ts);
+  oracle::RebuildGeometricMonitor reb(2, cfg, mc);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const auto& e = events[i];
+    ASSERT_EQ(inc.Process(static_cast<int>(e.node), e.key, e.ts),
+              reb.Process(static_cast<int>(e.node), e.key, e.ts))
+        << "arrival " << i;
     ASSERT_DOUBLE_EQ(inc.GlobalEstimate(), reb.GlobalEstimate());
     ASSERT_EQ(inc.AboveThreshold(), reb.AboveThreshold());
   }
-  // Flood one key from both sites to force the crossing in both modes.
+  // Flood one key from both sites to force the crossing in both.
   Timestamp t = events.back().ts;
   bool inc_crossed = false, reb_crossed = false;
   for (int i = 0; i < 20'000 && !(inc_crossed && reb_crossed); ++i) {
     ++t;
-    inc.Process(i % 2, 99, t);
-    reb.Process(i % 2, 99, t);
+    ASSERT_EQ(inc.Process(i % 2, 99, t), reb.Process(i % 2, 99, t))
+        << "flood arrival " << i;
     inc_crossed = inc.AboveThreshold();
     reb_crossed = reb.AboveThreshold();
     ASSERT_EQ(inc_crossed, reb_crossed) << "arrival " << i;
   }
   EXPECT_TRUE(inc_crossed);
-  EXPECT_EQ(inc.stats().crossings_signaled, reb.stats().crossings_signaled);
+  EXPECT_EQ(inc.stats().crossings_signaled, reb.crossings_signaled());
 }
 
 TEST(IncrementalDriftTest, DetectsCrossingBeyondWindowExpiry) {
-  // Streams much longer than the window: the incremental vector goes
-  // stale on untouched entries between refreshes, but the protocol must
-  // still detect a genuine crossing (behavioral check, not bit-equality).
+  // Streams much longer than the window: untouched entries change only
+  // through expiry, which the expiry-event heap replays exactly, and the
+  // protocol must detect a genuine crossing after several windows have
+  // slid by (behavioral check; the differential cases pin bit-equality).
   auto cfg_r = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, 4'000, 83,
                                  OptimizeFor::kSelfJoinQueries);
   ASSERT_TRUE(cfg_r.ok());
   GeometricSelfJoinMonitor::Config mc;
   mc.threshold = 4e6;
   mc.check_every = 4;
-  mc.drift = DriftTracking::kIncremental;
   GeometricSelfJoinMonitor monitor(2, *cfg_r, mc);
   // Quiet uniform phase spanning several windows...
   auto events = ZipfEvents(30'000, 2, 53, /*skew=*/0.0, /*domain=*/2'000);
@@ -406,8 +407,8 @@ TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
   // the flood stops — the site ball never reaches the surface and the
   // monitor stays "above" after the window has long expired the flood.
   // The per-counter expiry-event heap must replay the estimate drops
-  // exactly, so incremental mode fires syncs on the very same arrivals
-  // as the full-rebuild reference and detects the downward crossing.
+  // exactly, so the monitor fires syncs on the very same arrivals as the
+  // full-rebuild reference and detects the downward crossing.
   constexpr uint64_t kWin = 2'000;
   auto cfg_r = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, kWin, 83,
                                  OptimizeFor::kSelfJoinQueries);
@@ -446,10 +447,7 @@ TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
   mc.threshold = 1e6;
   mc.check_every = 2;
 
-  auto run = [&](DriftTracking drift) {
-    auto mcd = mc;
-    mcd.drift = drift;
-    GeometricSelfJoinMonitor monitor(2, cfg, mcd);
+  auto run = [&](auto& monitor) {
     std::vector<size_t> syncs;
     size_t above_at = SIZE_MAX, below_at = SIZE_MAX;
     for (size_t i = 0; i < script.size(); ++i) {
@@ -466,8 +464,10 @@ TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
     return std::make_tuple(syncs, above_at, below_at);
   };
 
-  auto [inc_syncs, inc_above, inc_below] = run(DriftTracking::kIncremental);
-  auto [reb_syncs, reb_above, reb_below] = run(DriftTracking::kRebuild);
+  GeometricSelfJoinMonitor monitor(2, cfg, mc);
+  oracle::RebuildGeometricMonitor reference(2, cfg, mc);
+  auto [inc_syncs, inc_above, inc_below] = run(monitor);
+  auto [reb_syncs, reb_above, reb_below] = run(reference);
   EXPECT_EQ(inc_syncs, reb_syncs);
   EXPECT_EQ(inc_above, reb_above);
   EXPECT_EQ(inc_below, reb_below);
@@ -517,10 +517,7 @@ TEST(IncrementalDriftTest, PointMonitorExpiryMatchesRebuildWithoutRefresh) {
   mc.threshold = 800;
   mc.check_every = 2;
 
-  auto run = [&](DriftTracking drift) {
-    auto mcd = mc;
-    mcd.drift = drift;
-    GeometricPointMonitor monitor(2, cfg, mcd);
+  auto run = [&](auto& monitor) {
     std::vector<size_t> syncs;
     size_t below_at = SIZE_MAX;
     bool was_above = false;
@@ -538,8 +535,10 @@ TEST(IncrementalDriftTest, PointMonitorExpiryMatchesRebuildWithoutRefresh) {
     return std::make_pair(syncs, below_at);
   };
 
-  auto [inc_syncs, inc_below] = run(DriftTracking::kIncremental);
-  auto [reb_syncs, reb_below] = run(DriftTracking::kRebuild);
+  GeometricPointMonitor monitor(2, cfg, mc);
+  oracle::RebuildGeometricMonitor reference(2, cfg, mc);
+  auto [inc_syncs, inc_below] = run(monitor);
+  auto [reb_syncs, reb_below] = run(reference);
   EXPECT_EQ(inc_syncs, reb_syncs);
   EXPECT_EQ(inc_below, reb_below);
   ASSERT_NE(inc_below, SIZE_MAX) << "downward crossing missed under expiry";
@@ -701,6 +700,103 @@ TEST(ParallelIngestTest, GeometricMonitorDetectsCrossingUnderShardedDrive) {
   const uint64_t dim = uint64_t{cfg.width} * static_cast<uint64_t>(cfg.depth);
   EXPECT_EQ(s.network.bytes, s.syncs * 2 * 4 * dim * sizeof(double));
   EXPECT_GE(s.crossings_signaled, 1u);
+}
+
+// One worker with batches of one replays the stream in order and drains
+// every requested sync right after the arrival that requested it, so the
+// split API (LocalProcess + the barrier's GlobalSync) must reproduce the
+// sequential Process run exactly: same sync arrivals, same estimate after
+// each sync, same stats.
+template <typename Monitor>
+void ExpectOneWorkerMatchesSequential(int sites, const EcmConfig& cfg,
+                                      const typename Monitor::Config& mc,
+                                      const std::vector<StreamEvent>& events) {
+  Monitor seq(sites, cfg, mc);
+  std::vector<size_t> seq_syncs;
+  std::vector<double> seq_estimates;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (seq.Process(static_cast<int>(events[i].node), events[i].key,
+                    events[i].ts)) {
+      seq_syncs.push_back(i);
+      seq_estimates.push_back(seq.GlobalEstimate());
+    }
+  }
+
+  Monitor par(sites, cfg, mc);
+  std::vector<size_t> par_syncs;
+  std::vector<double> par_estimates;
+  size_t arrival = 0;
+  ParallelIngestOptions opts;
+  opts.num_workers = 1;
+  opts.batch_size = 1;
+  opts.final_sync = false;
+  ParallelIngest(
+      events, sites,
+      [&](int site, const StreamEvent& e) {
+        const bool sync = par.LocalProcess(site, e.key, e.ts);
+        if (sync) par_syncs.push_back(arrival);
+        ++arrival;
+        return sync;
+      },
+      [&] {
+        par.GlobalSync();
+        par_estimates.push_back(par.GlobalEstimate());
+      },
+      opts);
+
+  EXPECT_GE(seq_syncs.size(), 3u);
+  EXPECT_EQ(par_syncs, seq_syncs);
+  EXPECT_EQ(par_estimates, seq_estimates);
+  EXPECT_EQ(par.AboveThreshold(), seq.AboveThreshold());
+  const MonitorStats a = par.stats();
+  const MonitorStats b = seq.stats();
+  EXPECT_EQ(a.updates, b.updates);
+  EXPECT_EQ(a.local_checks, b.local_checks);
+  EXPECT_EQ(a.local_violations, b.local_violations);
+  EXPECT_EQ(a.syncs, b.syncs);
+  EXPECT_EQ(a.crossings_signaled, b.crossings_signaled);
+  EXPECT_EQ(a.network.messages, b.network.messages);
+  EXPECT_EQ(a.network.bytes, b.network.bytes);
+}
+
+TEST(ParallelIngestTest, GeometricMonitorsMatchSequentialWithOneWorker) {
+  // Self-join: background traffic, then a single-key flood past 3x F2.
+  EcmConfig cfg = SketchCfg(107);
+  auto background = ZipfEvents(8'000, 3, 97, /*skew=*/0.5);
+  std::vector<EcmSketch<ExponentialHistogram>> probe(
+      3, EcmSketch<ExponentialHistogram>(cfg));
+  for (const auto& e : background) probe[e.node].Add(e.key, e.ts);
+  auto f2 = GlobalSelfJoin(probe, kWindow, cfg.epsilon_sw, 1);
+  ASSERT_TRUE(f2.ok());
+  std::vector<StreamEvent> script = background;
+  Timestamp t = background.back().ts;
+  for (int i = 0; i < 6'000; ++i) {
+    script.push_back(StreamEvent{++t, 77, static_cast<uint32_t>(i % 3)});
+  }
+  GeometricSelfJoinMonitor::Config mc;
+  mc.threshold = 3.0 * *f2;
+  mc.check_every = 4;
+  ExpectOneWorkerMatchesSequential<GeometricSelfJoinMonitor>(3, cfg, mc,
+                                                             script);
+
+  // Point monitor: a distributed trickle toward a watched key.
+  EcmConfig pcfg = SketchCfg(109, OptimizeFor::kPointQueries);
+  auto events = ZipfEvents(8'000, 3, 113, /*skew=*/0.8, /*domain=*/5'000);
+  Rng attack(11);
+  std::vector<StreamEvent> trickle;
+  for (size_t i = 0; i < events.size(); ++i) {
+    trickle.push_back(events[i]);
+    if (i > events.size() / 4 && attack.Bernoulli(0.3)) {
+      trickle.push_back(StreamEvent{events[i].ts, 0xBEEF,
+                                    static_cast<uint32_t>(attack.Uniform(3))});
+    }
+  }
+  GeometricPointMonitor::Config pc;
+  pc.key = 0xBEEF;
+  pc.threshold = 900;
+  pc.check_every = 2;
+  ExpectOneWorkerMatchesSequential<GeometricPointMonitor>(3, pcfg, pc,
+                                                          trickle);
 }
 
 TEST(ParallelIngestTest, BarrierDrainsOncePerRoundUnderContention) {

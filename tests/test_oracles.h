@@ -1,5 +1,6 @@
-// Test-only oracles for the library's indexed fast paths: the counters'
-// Estimate and the RLZ encoder's gram index.
+// Test-only oracles for the library's indexed and incremental fast paths:
+// the counters' Estimate, the RLZ encoder's gram index, and the geometric
+// monitors' incremental drift tracking.
 //
 // Each oracle recomputes a result the slow, obvious way from public
 // state, so the differential suites can pin the fast paths bit for bit
@@ -9,12 +10,17 @@
 #define ECM_TESTS_TEST_ORACLES_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/ecm_sketch.h"
 #include "src/dist/compress.h"
+#include "src/dist/geometric.h"
 #include "src/dist/serialize.h"
 #include "src/util/bytes.h"
 #include "src/window/exponential_histogram.h"
@@ -152,6 +158,181 @@ inline std::vector<uint8_t> RlzEncode(const std::vector<uint8_t>& reference,
   payload.PutRaw(ops.bytes().data(), ops.size());
   return wire_internal::WrapWirePayload(wire_internal::kRlzMagic, payload);
 }
+
+/// The geometric monitors' full-rebuild reference: every sphere test
+/// re-materializes the site's whole statistics vector through the public
+/// EcmSketch API and recomputes ‖δ‖² and the ball-center norms from
+/// scratch, in the summation order of the library's InstallAverage and
+/// sphere tests. With no drift tracking and no expiry heap to get wrong,
+/// it must sync on exactly the same arrivals as the incremental monitors
+/// (GeometricSelfJoinMonitor, and GeometricPointMonitor for the
+/// point-monitor constructor), with the same global estimates.
+class RebuildGeometricMonitor {
+ public:
+  /// Self-join (F₂) monitor: the statistics vector is the w×d grid.
+  RebuildGeometricMonitor(int num_sites, const EcmConfig& cfg,
+                          const GeometricMonitorConfig& mc)
+      : RebuildGeometricMonitor(num_sites, cfg, mc, std::nullopt) {}
+
+  /// Point monitor for `mc.key`: the statistics vector is its d row
+  /// estimates.
+  RebuildGeometricMonitor(int num_sites, const EcmConfig& cfg,
+                          const GeometricPointMonitor::Config& mc)
+      : RebuildGeometricMonitor(num_sites, cfg, mc, mc.key) {}
+
+  /// Returns true iff this arrival caused a global sync.
+  bool Process(int site, uint64_t key, Timestamp ts, uint64_t count = 1) {
+    SiteState& st = sites_[static_cast<size_t>(site)];
+    st.sketch.Add(key, ts, count);
+    if (!synced_once_) {
+      Sync();
+      return true;
+    }
+    if (++st.cadence_ticks % std::max<uint64_t>(check_every_, 1) != 0) {
+      return false;
+    }
+    Refresh(&st);
+    if (!Violation(st)) return false;
+    Sync();
+    return true;
+  }
+
+  bool AboveThreshold() const { return above_; }
+  double GlobalEstimate() const { return estimate_; }
+  uint64_t crossings_signaled() const { return crossings_; }
+
+ private:
+  struct SiteState {
+    SiteState(const EcmConfig& cfg, size_t dim)
+        : sketch(cfg),
+          v_sync(dim, 0.0),
+          v_cur(dim, 0.0),
+          row_sq(static_cast<size_t>(cfg.depth), 0.0) {}
+    EcmSketch<ExponentialHistogram> sketch;
+    std::vector<double> v_sync, v_cur;
+    double radius_sq = 0.0;
+    std::vector<double> row_sq;  // self-join only
+    uint64_t cadence_ticks = 0;
+  };
+
+  RebuildGeometricMonitor(int num_sites, const EcmConfig& cfg,
+                          const GeometricMonitorConfig& mc,
+                          std::optional<uint64_t> watched)
+      : cfg_(cfg),
+        threshold_(mc.threshold),
+        check_every_(mc.check_every),
+        watched_(watched),
+        dim_(watched ? static_cast<size_t>(cfg.depth)
+                     : static_cast<size_t>(cfg.width) *
+                           static_cast<size_t>(cfg.depth)),
+        sites_(static_cast<size_t>(num_sites), SiteState(cfg, dim_)),
+        e_avg_(dim_, 0.0) {}
+
+  double n() const { return static_cast<double>(sites_.size()); }
+
+  void Materialize(SiteState* st) const {
+    const Timestamp now = st->sketch.Now();
+    if (watched_) {
+      st->sketch.PointQueryRowsAt(*watched_, cfg_.window_len, now,
+                                  st->v_cur.data());
+      return;
+    }
+    for (int row = 0; row < cfg_.depth; ++row) {
+      st->sketch.EstimateRowAt(
+          row, cfg_.window_len, now,
+          &st->v_cur[static_cast<size_t>(row) * cfg_.width]);
+    }
+  }
+
+  /// Full rebuild of the vector, ‖δ‖² and (self-join) the row norms.
+  void Refresh(SiteState* st) const {
+    Materialize(st);
+    double radius_sq = 0.0;
+    for (size_t k = 0; k < dim_; ++k) {
+      const double drift = st->v_cur[k] - st->v_sync[k];
+      radius_sq += drift * drift;
+    }
+    st->radius_sq = radius_sq;
+    if (watched_) return;
+    for (int row = 0; row < cfg_.depth; ++row) {
+      double norm_sq = 0.0;
+      for (uint32_t col = 0; col < cfg_.width; ++col) {
+        const size_t k = static_cast<size_t>(row) * cfg_.width + col;
+        const double c = e_avg_[k] + 0.5 * (st->v_cur[k] - st->v_sync[k]);
+        norm_sq += c * c;
+      }
+      st->row_sq[static_cast<size_t>(row)] = norm_sq;
+    }
+  }
+
+  bool Violation(const SiteState& st) const {
+    const double radius = 0.5 * std::sqrt(std::max(st.radius_sq, 0.0));
+    if (watched_) {
+      const double threshold_avg = threshold_ / n();
+      double min_center = std::numeric_limits<double>::infinity();
+      for (size_t k = 0; k < dim_; ++k) {
+        min_center = std::min(
+            min_center, e_avg_[k] + 0.5 * (st.v_cur[k] - st.v_sync[k]));
+      }
+      return above_ ? min_center - radius < threshold_avg
+                    : min_center + radius >= threshold_avg;
+    }
+    const double threshold_avg = threshold_ / (n() * n());
+    double bound = std::numeric_limits<double>::infinity();
+    for (int row = 0; row < cfg_.depth; ++row) {
+      const double norm =
+          std::sqrt(std::max(st.row_sq[static_cast<size_t>(row)], 0.0));
+      const double extreme =
+          above_ ? std::max(norm - radius, 0.0) : norm + radius;
+      bound = std::min(bound, extreme * extreme);
+    }
+    return above_ ? bound < threshold_avg : bound >= threshold_avg;
+  }
+
+  void Sync() {
+    std::fill(e_avg_.begin(), e_avg_.end(), 0.0);
+    for (SiteState& st : sites_) {
+      Materialize(&st);
+      st.v_sync = st.v_cur;
+      for (size_t k = 0; k < dim_; ++k) e_avg_[k] += st.v_sync[k];
+    }
+    for (double& v : e_avg_) v /= n();
+    const bool was_above = above_;
+    if (watched_) {
+      estimate_ = n() * *std::min_element(e_avg_.begin(), e_avg_.end());
+    } else {
+      std::vector<double> base_row_sq(static_cast<size_t>(cfg_.depth));
+      double f_avg = std::numeric_limits<double>::infinity();
+      for (int row = 0; row < cfg_.depth; ++row) {
+        double norm_sq = 0.0;
+        for (uint32_t col = 0; col < cfg_.width; ++col) {
+          const double v = e_avg_[static_cast<size_t>(row) * cfg_.width + col];
+          norm_sq += v * v;
+        }
+        base_row_sq[static_cast<size_t>(row)] = norm_sq;
+        f_avg = std::min(f_avg, norm_sq);
+      }
+      for (SiteState& st : sites_) st.row_sq = base_row_sq;
+      estimate_ = n() * n() * f_avg;
+    }
+    above_ = estimate_ >= threshold_;
+    if (!was_above && above_) ++crossings_;
+    synced_once_ = true;
+    for (SiteState& st : sites_) st.radius_sq = 0.0;
+  }
+
+  EcmConfig cfg_;
+  double threshold_;
+  uint64_t check_every_;
+  std::optional<uint64_t> watched_;  // nullopt = self-join monitor
+  size_t dim_;
+  std::vector<SiteState> sites_;
+  std::vector<double> e_avg_;
+  double estimate_ = 0.0;
+  bool above_ = false;
+  bool synced_once_ = false;
+  uint64_t crossings_ = 0;
+};
 
 }  // namespace ecm::oracle
 
