@@ -128,7 +128,6 @@ void Run() {
         {"mode", "pushes", "full/rlz", "wire_bytes", "vs_full"});
     const std::pair<const char*, CompressionMode> kModes[] = {
         {"full", CompressionMode::kFull},
-        {"rlz", CompressionMode::kRlz},
         {"auto", CompressionMode::kAuto},
     };
     uint64_t full_wire = 0;
@@ -158,7 +157,7 @@ void Run() {
                     "x"});
     }
     std::printf(
-        "expected shape: rlz/auto cut steady-state bytes-on-wire by >=2x "
+        "expected shape: auto cuts steady-state bytes-on-wire by >=2x "
         "vs full snapshots (the CI gate holds this line)\n");
   }
 }

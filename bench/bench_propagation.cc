@@ -100,12 +100,11 @@ void Run() {
   // snapshots. Every decoded image is verified bit-identical inside the
   // channel, so the error columns above are unchanged by construction.
   PrintHeader(
-      "Wire compression: steady-state periodic pushes, full vs RLZ vs "
-      "auto (8 sites, period=2000)",
+      "Wire compression: steady-state periodic pushes, full vs auto "
+      "(RLZ with full fallback; 8 sites, period=2000)",
       {"mode", "pushes", "full/rlz", "wire_bytes", "raw_bytes", "ratio"});
   const std::pair<const char*, CompressionMode> kModes[] = {
       {"full", CompressionMode::kFull},
-      {"rlz", CompressionMode::kRlz},
       {"auto", CompressionMode::kAuto},
   };
   for (const auto& [name, mode] : kModes) {
@@ -130,7 +129,7 @@ void Run() {
                            3)});
   }
   std::printf(
-      "expected shape: RLZ/auto wire_bytes well under the full row "
+      "expected shape: auto wire_bytes well under the full row "
       "(>=2x in steady state); the frame mix shows full images only at "
       "stream start (and wherever the compressed form would exceed the "
       "fallback threshold)\n");

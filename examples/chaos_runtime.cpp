@@ -29,7 +29,9 @@
 //      reference sketch built by replaying its shard locally — severs,
 //      drops, duplicates and corruption left no trace in final state;
 //  (c) zero bound violations across all queries, and at least one query
-//      was answered degraded (the outage windows were really observed).
+//      was answered degraded (the outage windows were really observed);
+//  (d) every fault kind the plan gives a nonzero probability injected at
+//      least once across the sites (the run tested what it claims).
 
 #include <algorithm>
 #include <chrono>
@@ -121,7 +123,7 @@ struct SiteOutcome {
   bool ok = false;
   std::string error;
   uint64_t reconnects = 0;
-  SocketTransport::FaultCounters faults;
+  InjectionStats faults;
 };
 
 }  // namespace
@@ -302,7 +304,7 @@ int main(int argc, char** argv) {
         return;
       }
       out.reconnects = (*transport)->reconnects();
-      out.faults = (*transport)->fault_counters();
+      out.faults = (*transport)->injection_stats();
       out.ok = true;
     });
   }
@@ -374,7 +376,8 @@ int main(int argc, char** argv) {
     pass = false;
   }
   uint64_t total_reconnects = 0, total_severs = 0, total_drops = 0,
-           total_dups = 0, total_corrupts = 0, total_delays = 0;
+           total_partition_drops = 0, total_dups = 0, total_corrupts = 0,
+           total_delays = 0;
   for (int k = 0; k < f.sites; ++k) {
     const SiteOutcome& out = outcomes[static_cast<size_t>(k)];
     if (!out.ok) {
@@ -386,6 +389,7 @@ int main(int argc, char** argv) {
     total_reconnects += out.reconnects;
     total_severs += out.faults.severs;
     total_drops += out.faults.drops;
+    total_partition_drops += out.faults.partition_drops;
     total_dups += out.faults.duplicates;
     total_corrupts += out.faults.corrupts;
     total_delays += out.faults.delays;
@@ -421,6 +425,24 @@ int main(int argc, char** argv) {
                  queries);
     pass = false;
   }
+  // (d) Partition drops come from the window, not from drop_p.
+  const struct {
+    const char* kind;
+    double p;
+    uint64_t injected;
+  } kinds[] = {{"drop", fc.drop_p, total_drops - total_partition_drops},
+               {"duplicate", fc.duplicate_p, total_dups},
+               {"corrupt", fc.corrupt_p, total_corrupts},
+               {"delay", fc.delay_p, total_delays},
+               {"sever", fc.sever_p, total_severs}};
+  for (const auto& k : kinds) {
+    if (k.p > 0 && k.injected == 0) {
+      std::fprintf(stderr,
+                   "FAIL: %s_p = %.2f but no %s fault was injected\n",
+                   k.kind, k.p, k.kind);
+      pass = false;
+    }
+  }
   if (total_reconnects == 0) {
     std::fprintf(stderr,
                  "FAIL: no in-transport reconnects happened — the chaos "
@@ -429,11 +451,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "faults injected: drops=%" PRIu64 " dups=%" PRIu64
-      " corrupts=%" PRIu64 " delays=%" PRIu64 " severs=%" PRIu64
-      " hello_refusals=%" PRIu64 "\n",
-      total_drops, total_dups, total_corrupts, total_delays, total_severs,
-      (*server)->hello_refusals());
+      "faults injected: drops=%" PRIu64 " (partition %" PRIu64
+      ") dups=%" PRIu64 " corrupts=%" PRIu64 " delays=%" PRIu64
+      " severs=%" PRIu64 " hello_refusals=%" PRIu64 "\n",
+      total_drops, total_partition_drops, total_dups, total_corrupts,
+      total_delays, total_severs, (*server)->hello_refusals());
   std::printf("healing: reconnects=%" PRIu64 " downs=%" PRIu64
               " rejoins=%" PRIu64 "\n",
               total_reconnects, (*server)->downs(), (*server)->rejoins());

@@ -290,19 +290,11 @@ class EcmSketch {
     }
   }
 
-  /// Single-row contribution to a point query: the estimate of the one
-  /// counter `key` hashes to in row `row`. The geometric point monitor
-  /// (§6.2) treats the d per-row values as the key's statistics vector.
-  double PointQueryRowAt(uint64_t key, int row, uint64_t range,
-                         Timestamp now) const {
-    return CounterAt(row, hashes_.Bucket(row, key, config_.width))
-        .Estimate(now, range);
-  }
-
-  /// All d per-row contributions of `key` at once (out[0..depth)): the
-  /// statistics vector of the geometric point monitor, materialized with
-  /// a single Mix64 pass instead of one hash per row. out[j] ==
-  /// PointQueryRowAt(key, j, range, now).
+  /// All d per-row contributions of `key` at once (out[0..depth)):
+  /// out[j] is the estimate of the one counter `key` hashes to in row j.
+  /// The geometric point monitor (§6.2) treats them as the key's
+  /// statistics vector; they are materialized with a single Mix64 pass
+  /// instead of one hash per row.
   void PointQueryRowsAt(uint64_t key, uint64_t range, Timestamp now,
                         double* out) const {
     uint32_t cols[kMaxSketchDepth];
@@ -444,16 +436,6 @@ class EcmSketch {
     }
   }
 
-  /// Extracts one row's counter estimates for range `range` as a dense
-  /// vector — the "statistics vector" representation used by the geometric
-  /// monitor (§6.2).
-  std::vector<double> RowEstimates(int row, uint64_t range,
-                                   Timestamp now) const {
-    std::vector<double> out(config_.width);
-    EstimateRowAt(row, range, now, out.data());
-    return out;
-  }
-
   /// Merges time-based sketches into a sketch of the order-preserving
   /// aggregate stream S₁ ⊕ … ⊕ Sₙ (§5.3). `eps_prime_sw` is the window
   /// error parameter of the merged counters (Theorem 4's ε′); pass the
@@ -558,27 +540,16 @@ class EcmSketch {
   uint64_t version() const { return version_; }
 
  private:
-  // Merges one counter cell across the input sketches, dispatched on the
-  // counter type.
+  // Merges one counter cell across the input sketches: randomized waves
+  // unite their samples (§5.2), every other counter merges by replay
+  // (§5.1).
   static Result<Counter> MergeCell(const std::vector<const Counter*>& cell,
                                    const EcmConfig& merged_cfg,
                                    uint64_t seed) {
-    if constexpr (std::is_same_v<Counter, ExponentialHistogram>) {
-      std::vector<const ExponentialHistogram*> in(cell.begin(), cell.end());
-      return MergeHistograms(in, merged_cfg.epsilon_sw);
-    } else if constexpr (std::is_same_v<Counter, DeterministicWave>) {
-      std::vector<const DeterministicWave*> in(cell.begin(), cell.end());
-      return MergeWaves(in, merged_cfg.epsilon_sw, merged_cfg.max_arrivals);
-    } else if constexpr (std::is_same_v<Counter, RandomizedWave>) {
-      std::vector<const RandomizedWave*> in(cell.begin(), cell.end());
-      return MergeRandomizedWaves(in, Mix64(merged_cfg.seed ^ seed));
+    if constexpr (std::is_same_v<Counter, RandomizedWave>) {
+      return MergeRandomizedWaves(cell, Mix64(merged_cfg.seed ^ seed));
     } else {
-      // Exact windows (tests): lossless replay of all retained arrivals.
-      std::vector<ReplayEvent> events;
-      for (const auto* c : cell) AppendBucketEvents(c->Buckets(), &events);
-      Counter merged(MakeCounterConfig<Counter>(merged_cfg));
-      ReplayInto(std::move(events), &merged);
-      return merged;
+      return MergeByReplay(cell, MakeCounterConfig<Counter>(merged_cfg));
     }
   }
 

@@ -6,7 +6,7 @@
 // against the previously shipped one as copy(offset, len) and literal ops
 // (relative Lempel-Ziv, Hoobin, Puglisi & Zobel, PVLDB 2011). It falls
 // back to a full snapshot whenever the RLZ image stops paying for itself
-// (content drift past `max_compressed_fraction`) or the receiver's base
+// (content drift past `kMaxCompressedFraction`) or the receiver's base
 // is unknown (first contact, channel reset, transport rejoin epoch
 // change).
 //
@@ -131,16 +131,16 @@ const char* SketchWireKindName(SketchWireKind kind);
 /// compressibility threshold).
 enum class CompressionMode : uint8_t {
   kFull = 0,  ///< always ship full snapshots (the pre-compression wire)
-  kRlz = 2,   ///< RLZ against the previous image, full fallback
-  kAuto = 3,  ///< the default; the same as kRlz
+  kAuto = 3,  ///< the default: RLZ against the previous image, full fallback
 };
+
+/// A compressed image is shipped only if it is smaller than this fraction
+/// of the full snapshot; otherwise the full image goes out (drifted-too-far
+/// fallback, and it re-bases the channel).
+inline constexpr double kMaxCompressedFraction = 0.9;
 
 struct CompressionOptions {
   CompressionMode mode = CompressionMode::kAuto;
-  /// A compressed image is shipped only if it is smaller than this
-  /// fraction of the full snapshot; otherwise the full image goes out
-  /// (drifted-too-far fallback, and it re-bases the channel).
-  double max_compressed_fraction = 0.9;
   /// Transport rejoin epoch stamped into every compressed image. Bump on
   /// crash/rejoin (SocketTransport Options::epoch) so stale-base images
   /// from before the crash can never apply.
@@ -190,7 +190,7 @@ class SketchSender {
     img.kind = SketchWireKind::kFull;
     if (has_base_ && opts_.mode != CompressionMode::kFull) {
       const size_t budget = static_cast<size_t>(
-          static_cast<double>(full.size()) * opts_.max_compressed_fraction);
+          static_cast<double>(full.size()) * kMaxCompressedFraction);
       std::vector<uint8_t> rlz =
           RlzEncode(reference_, full.data(), full.size(), opts_.epoch,
                     &index_);

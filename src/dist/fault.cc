@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "src/util/hash.h"
 
@@ -115,121 +116,49 @@ bool FaultPlan::RefuseHello(NodeId node, uint32_t attempt_index) const {
 
 FaultInjectingTransport::FaultInjectingTransport(Transport* inner,
                                                  const FaultPlan* plan)
-    : inner_(inner), plan_(plan) {}
+    : inner_(inner), injector_(plan) {}
 
 void FaultInjectingTransport::Send(NodeId from, NodeId to,
                                    const uint8_t* data, size_t size) {
-  std::unique_lock<std::mutex> lk(mu_);
-  uint64_t index = 0;
+  std::vector<Injector::Outgoing> out;
   {
-    auto it = std::find_if(
-        frame_counts_.begin(), frame_counts_.end(),
-        [from](const std::pair<NodeId, uint64_t>& e) { return e.first == from; });
-    if (it == frame_counts_.end()) {
-      frame_counts_.emplace_back(from, 0);
-      it = frame_counts_.end() - 1;
-    }
-    index = it->second++;
+    std::lock_guard<std::mutex> lk(mu_);
+    offered_bytes_ += size;
+    injector_.Apply(from,
+                    Message{from, to, std::vector<uint8_t>(data, data + size)},
+                    &out);
   }
-  ++offered_messages_;
-  offered_bytes_ += size;
-  ++inj_.messages;
-
-  const FaultAction action = plan_->ActionFor(from, index);
-  switch (action) {
-    case FaultAction::kDrop: {
-      ++inj_.drops;
-      if (plan_->InPartition(from, index)) ++inj_.partition_drops;
-      break;
-    }
-    case FaultAction::kDuplicate: {
-      ++inj_.duplicates;
-      lk.unlock();
-      inner_->Send(from, to, data, size);
-      inner_->Send(from, to, data, size);
-      lk.lock();
-      break;
-    }
-    case FaultAction::kCorrupt: {
-      std::vector<uint8_t> copy(data, data + size);
-      if (size > 0) {  // an empty message has no bit to flip
-        ++inj_.corrupts;
-        const size_t bit = plan_->CorruptBit(from, index, size);
-        copy[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      }
-      lk.unlock();
-      inner_->Send(from, to, copy.data(), copy.size());
-      lk.lock();
-      break;
-    }
-    case FaultAction::kDelay: {
-      ++inj_.delays;
-      Delayed d;
-      d.from = from;
-      d.to = to;
-      d.bytes.assign(data, data + size);
-      d.release_index = index + plan_->DelayFrames(from, index);
-      delayed_.push_back(std::move(d));
-      break;
-    }
-    case FaultAction::kSever:
-      // No connection to kill at this layer; count it and deliver.
-      ++inj_.severs;
-      [[fallthrough]];
-    case FaultAction::kNone: {
-      lk.unlock();
-      inner_->Send(from, to, data, size);
-      lk.lock();
-      break;
-    }
-  }
-  ReleaseDueLocked(lk, from, index);
-}
-
-void FaultInjectingTransport::ReleaseDueLocked(
-    std::unique_lock<std::mutex>& lk, NodeId from, uint64_t index) {
-  // Collect due messages first so inner sends run unlocked; held order
-  // per node is preserved.
-  std::vector<Delayed> due;
-  for (auto it = delayed_.begin(); it != delayed_.end();) {
-    if (it->from == from && it->release_index <= index) {
-      due.push_back(std::move(*it));
-      it = delayed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (due.empty()) return;
-  lk.unlock();
-  for (const Delayed& d : due) {
-    inner_->Send(d.from, d.to, d.bytes.data(), d.bytes.size());
-  }
-  lk.lock();
+  Deliver(out);
 }
 
 void FaultInjectingTransport::FlushDelayed() {
-  std::deque<Delayed> due;
+  std::vector<Injector::Outgoing> out;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    due.swap(delayed_);
+    injector_.Flush(&out);
   }
-  for (const Delayed& d : due) {
-    inner_->Send(d.from, d.to, d.bytes.data(), d.bytes.size());
+  Deliver(out);
+}
+
+void FaultInjectingTransport::Deliver(
+    const std::vector<Injector::Outgoing>& out) {
+  for (const Injector::Outgoing& o : out) {
+    const Message& m = o.message;
+    inner_->Send(m.from, m.to, m.payload.data(), m.payload.size());
   }
 }
 
 NetworkStats FaultInjectingTransport::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   NetworkStats s;
-  s.messages = offered_messages_;
+  s.messages = injector_.stats().messages;
   s.bytes = offered_bytes_;
   return s;
 }
 
-FaultInjectingTransport::InjectionStats
-FaultInjectingTransport::injection_stats() const {
+InjectionStats FaultInjectingTransport::injection_stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return inj_;
+  return injector_.stats();
 }
 
 }  // namespace ecm

@@ -6,18 +6,22 @@
 // *replayable unit test* — the same plan over the same message script
 // injects byte-identical faults on every run, on every machine.
 //
-// Two consumers:
+// One FaultInjector turns the plan into effects — drops, byte-identical
+// duplicates, payload bit-flips, delay-reordering and sever marks — and
+// both transports apply the plan through it:
 //  * FaultInjectingTransport — a decorator over any Transport (loopback
-//    included) that drops, duplicates, bit-corrupts and delay-reorders
-//    messages per the plan. This is the in-process harness: it lets the
+//    included). This is the in-process harness: it lets the
 //    aggregation-tree / propagation / monitoring substrates be tested
 //    under faults without sockets.
-//  * SocketTransport / CoordinatorServer (socket_transport.h) accept a
-//    `const FaultPlan*` in their Options and apply the schedule at the
-//    wire: payload bit-flips that the dist/serialize checksum must
-//    catch, mid-stream connection severs that the in-transport
-//    reconnect machinery must heal, and coordinator-side hello
-//    refusals that simulate a partitioned site-set for a window.
+//  * SocketTransport (socket_transport.h) — feeds the injector its
+//    application frames, flips payload bits before framing so the
+//    dist/serialize checksum must catch them, and turns a sever mark into
+//    a mid-stream connection kill that the in-transport reconnect
+//    machinery must heal. CoordinatorServer takes the same plan for
+//    coordinator-side hello refusals that simulate a partitioned site-set
+//    for a window.
+// The same plan over the same message script therefore injects the same
+// faults through either transport (socket_transport_test pins this).
 //
 // The retry side of the coin lives here too: BackoffPolicy +
 // BackoffDelayMs give exponential backoff with *deterministic* jitter
@@ -30,8 +34,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/dist/network_stats.h"
@@ -144,41 +148,145 @@ class FaultPlan {
 };
 
 // ---------------------------------------------------------------------------
+// FaultInjector
+// ---------------------------------------------------------------------------
+
+/// Counts of injected faults, for assertions and logging.
+struct InjectionStats {
+  uint64_t messages = 0;  ///< messages offered to the injector
+  uint64_t drops = 0;
+  uint64_t duplicates = 0;
+  uint64_t corrupts = 0;  ///< bits flipped; an empty message flips none
+  uint64_t delays = 0;
+  uint64_t severs = 0;
+  uint64_t partition_drops = 0;  ///< subset of drops from partitions
+
+  bool operator==(const InjectionStats&) const = default;
+};
+
+/// Applies a FaultPlan to a stream of outgoing messages: the one place a
+/// FaultAction turns into an effect. `Message` is the transport's message
+/// type; kCorrupt flips one bit of its `payload` byte vector. Message
+/// indices count per node in Apply() order, so a deterministic caller
+/// script injects byte-identical faults on every run.
+///
+/// Not thread-safe: the owning transport serializes calls.
+template <typename Message>
+class FaultInjector {
+ public:
+  /// A message that goes out now. `sever_after` marks a kSever message:
+  /// a transport with a connection kills it right behind this one.
+  struct Outgoing {
+    Message message;
+    bool sever_after = false;
+  };
+
+  /// `plan` is not owned and must outlive the injector.
+  explicit FaultInjector(const FaultPlan* plan) : plan_(plan) {}
+
+  /// Applies the plan to `node`'s next message and appends to `out`, in
+  /// order, what goes out now:
+  ///  * kDrop / partition — nothing;
+  ///  * kDuplicate — the message twice, back to back;
+  ///  * kCorrupt — the message with one payload bit flipped (an empty
+  ///    payload has no bit to flip and passes unflipped and uncounted);
+  ///  * kDelay — nothing yet: the message is held until DelayFrames()
+  ///    later messages of `node` have been applied;
+  ///  * kSever — the message, marked sever_after;
+  ///  * kNone — the message.
+  /// Then `node`'s held messages that are now due follow, in held order:
+  /// behind the current one, which is the reordering kDelay stands for.
+  void Apply(NodeId node, Message message, std::vector<Outgoing>* out) {
+    const uint64_t index = NextIndex(node);
+    ++stats_.messages;
+    switch (plan_->ActionFor(node, index)) {
+      case FaultAction::kDrop:
+        ++stats_.drops;
+        if (plan_->InPartition(node, index)) ++stats_.partition_drops;
+        break;
+      case FaultAction::kDuplicate:
+        ++stats_.duplicates;
+        out->push_back(Outgoing{message, false});
+        out->push_back(Outgoing{std::move(message), false});
+        break;
+      case FaultAction::kCorrupt:
+        if (!message.payload.empty()) {
+          ++stats_.corrupts;
+          const size_t bit =
+              plan_->CorruptBit(node, index, message.payload.size());
+          message.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        out->push_back(Outgoing{std::move(message), false});
+        break;
+      case FaultAction::kDelay:
+        ++stats_.delays;
+        held_.push_back(Held{node, index + plan_->DelayFrames(node, index),
+                             std::move(message)});
+        break;
+      case FaultAction::kSever:
+        ++stats_.severs;
+        out->push_back(Outgoing{std::move(message), true});
+        break;
+      case FaultAction::kNone:
+        out->push_back(Outgoing{std::move(message), false});
+        break;
+    }
+    for (auto it = held_.begin(); it != held_.end();) {
+      if (it->node == node && it->release_index <= index) {
+        out->push_back(Outgoing{std::move(it->message), false});
+        it = held_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  /// Appends every held message to `out`, in held order: delayed
+  /// messages are reordered, never lost.
+  void Flush(std::vector<Outgoing>* out) {
+    for (Held& h : held_) out->push_back(Outgoing{std::move(h.message), false});
+    held_.clear();
+  }
+
+  const InjectionStats& stats() const { return stats_; }
+
+ private:
+  struct Held {
+    NodeId node = 0;
+    uint64_t release_index = 0;  ///< due once `node` reaches this index
+    Message message;
+  };
+
+  /// Returns `node`'s next message index and advances it.
+  uint64_t NextIndex(NodeId node) {
+    for (auto& [n, next] : next_index_) {
+      if (n == node) return next++;
+    }
+    next_index_.emplace_back(node, 1);
+    return 0;
+  }
+
+  const FaultPlan* const plan_;
+  std::vector<std::pair<NodeId, uint64_t>> next_index_;
+  std::vector<Held> held_;
+  InjectionStats stats_;
+};
+
+// ---------------------------------------------------------------------------
 // FaultInjectingTransport
 // ---------------------------------------------------------------------------
 
 /// Decorator over any Transport that applies a FaultPlan to every
-/// message. Message indices are per `from` node, counted in call order —
-/// with a deterministic caller script the injected faults are
-/// byte-identical across runs (the acceptance invariant; see
-/// fault_test.cc).
+/// message through a FaultInjector. Message indices are per `from` node,
+/// counted in call order. Drops are still charged in stats(): the sender
+/// offered the traffic. kSever has no connection to kill at this layer;
+/// it counts in injection_stats() and delivers normally. FlushDelayed()
+/// releases the held stragglers at end of script.
 ///
-/// Semantics per action:
-///  * kDrop / partition — the inner transport never sees the message
-///    (stats() still charges it: the sender offered the traffic).
-///  * kDuplicate — delivered twice back to back.
-///  * kCorrupt — one bit (chosen by the plan) flipped in a copy of the
-///    payload; an empty message has no bit to flip and passes through.
-///  * kDelay — held until DelayFrames() later messages from the same
-///    node have been sent, then delivered (reordering). FlushDelayed()
-///    releases stragglers at end of script.
-///  * kSever — meaningful only at the socket level; here it counts in
-///    injection stats and delivers normally.
-///
-/// Thread-safe; decisions depend only on per-node call order.
+/// Thread-safe; decisions depend only on per-node call order. Inner sends
+/// run outside the lock.
 class FaultInjectingTransport final : public Transport {
  public:
-  /// Counts of injected faults, for assertions and logging.
-  struct InjectionStats {
-    uint64_t messages = 0;  ///< messages offered to the decorator
-    uint64_t drops = 0;
-    uint64_t duplicates = 0;
-    uint64_t corrupts = 0;
-    uint64_t delays = 0;
-    uint64_t severs = 0;
-    uint64_t partition_drops = 0;  ///< subset of drops from partitions
-  };
-
   /// Neither pointer is owned; both must outlive the decorator.
   FaultInjectingTransport(Transport* inner, const FaultPlan* plan);
 
@@ -188,32 +296,25 @@ class FaultInjectingTransport final : public Transport {
   /// Offered traffic (drops included), in the NetworkStats currency.
   NetworkStats stats() const override;
 
-  /// Delivers every still-delayed message, in held order per node.
+  /// Delivers every still-delayed message, in held order.
   void FlushDelayed();
 
   InjectionStats injection_stats() const;
 
  private:
-  struct Delayed {
+  struct Message {
     NodeId from = 0;
     NodeId to = 0;
-    std::vector<uint8_t> bytes;
-    uint64_t release_index = 0;   ///< deliver once node passes this index
+    std::vector<uint8_t> payload;
   };
+  using Injector = FaultInjector<Message>;
 
-  /// Delivers delayed messages of `from` due at `index` (mu_ held;
-  /// unlocks around inner sends via the caller-provided lock).
-  void ReleaseDueLocked(std::unique_lock<std::mutex>& lk, NodeId from,
-                        uint64_t index);
+  void Deliver(const std::vector<Injector::Outgoing>& out);
 
   Transport* const inner_;
-  const FaultPlan* const plan_;
 
   mutable std::mutex mu_;
-  std::vector<std::pair<NodeId, uint64_t>> frame_counts_;
-  std::deque<Delayed> delayed_;
-  InjectionStats inj_;
-  uint64_t offered_messages_ = 0;
+  Injector injector_;
   uint64_t offered_bytes_ = 0;
 };
 

@@ -233,7 +233,11 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::Connect(
 SocketTransport::SocketTransport(int fd, NodeId self,
                                  const sockaddr_storage& addr,
                                  const Options& options)
-    : options_(options), node_(self), fd_(fd), addr_(addr) {
+    : options_(options),
+      node_(self),
+      fd_(fd),
+      addr_(addr),
+      faults_(options.fault_plan) {
   epoch_.store(options.epoch, std::memory_order_relaxed);
   sender_ = std::thread([this] { SenderLoop(); });
 }
@@ -246,7 +250,7 @@ SocketTransport::~SocketTransport() {
   // Callers that need a guaranteed drain call Flush() themselves first.
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ReleaseAllDelayedLocked();
+    ReleaseHeldLocked();
     stop_ = true;
   }
   queue_cv_.notify_all();
@@ -295,57 +299,15 @@ Status SocketTransport::EnqueueFramed(Frame&& frame) {
     if (!faultable) {
       out.push_back(Entry{EncodeFrame(frame), false});
     } else {
-      const FaultPlan& plan = *options_.fault_plan;
-      const uint64_t index = fault_index_++;
-      switch (plan.ActionFor(node_, index)) {
-        case FaultAction::kDrop:
-          ++fault_counters_.drops;
-          break;
-        case FaultAction::kDuplicate: {
-          // Byte-identical twin (same seq): exactly what a
-          // retransmit-after-timeout produces; receivers must absorb it.
-          ++fault_counters_.duplicates;
-          std::vector<uint8_t> encoded = EncodeFrame(frame);
-          out.push_back(Entry{encoded, false});
-          out.push_back(Entry{std::move(encoded), false});
-          break;
-        }
-        case FaultAction::kCorrupt: {
-          // Flip one payload bit *before* framing: the frame checksum
-          // stays valid, so the corruption must be caught by the
-          // application-level dist/serialize checksum at the receiver.
-          ++fault_counters_.corrupts;
-          if (!frame.payload.empty()) {
-            const size_t bit =
-                plan.CorruptBit(node_, index, frame.payload.size());
-            frame.payload[bit / 8] ^=
-                static_cast<uint8_t>(1u << (bit % 8));
-          }
-          out.push_back(Entry{EncodeFrame(frame), false});
-          break;
-        }
-        case FaultAction::kDelay:
-          ++fault_counters_.delays;
-          delayed_.emplace_back(index + plan.DelayFrames(node_, index),
-                                Entry{EncodeFrame(frame), false});
-          break;
-        case FaultAction::kSever:
-          ++fault_counters_.severs;
-          out.push_back(Entry{EncodeFrame(frame), true});
-          break;
-        case FaultAction::kNone:
-          out.push_back(Entry{EncodeFrame(frame), false});
-          break;
-      }
-      // Release delayed frames that are now due; they queue *behind*
-      // the current frame — the reorder the plan asked for.
-      for (auto it = delayed_.begin(); it != delayed_.end();) {
-        if (it->first <= index) {
-          out.push_back(std::move(it->second));
-          it = delayed_.erase(it);
-        } else {
-          ++it;
-        }
+      // The injector sees the frame before it is encoded: a corrupt
+      // flips a payload bit under a valid frame checksum, so the
+      // receiver's dist/serialize checksum must catch it. Duplicates and
+      // held frames keep the seq assigned above, exactly what a
+      // retransmit produces.
+      std::vector<FaultInjector<Frame>::Outgoing> sent;
+      faults_.Apply(node_, std::move(frame), &sent);
+      for (const auto& o : sent) {
+        out.push_back(Entry{EncodeFrame(o.message), o.sever_after});
       }
     }
   }
@@ -354,8 +316,6 @@ Status SocketTransport::EnqueueFramed(Frame&& frame) {
 }
 
 Status SocketTransport::EnqueueEntries(std::vector<Entry> entries) {
-  size_t add = 0;
-  for (const Entry& e : entries) add += e.bytes.size();
   std::unique_lock<std::mutex> lk(mu_);
   // Backpressure: block while the in-flight volume exceeds the bound.
   space_cv_.wait(lk, [this] {
@@ -364,30 +324,29 @@ Status SocketTransport::EnqueueEntries(std::vector<Entry> entries) {
   });
   if (!error_.ok()) return error_;
   if (stop_) return Status::IOError("transport stopped");
-  queued_bytes_ += add;
-  wire_bytes_.fetch_add(add, std::memory_order_relaxed);
-  for (Entry& e : entries) queue_.push_back(std::move(e));
+  for (Entry& e : entries) PushLocked(std::move(e));
   queue_cv_.notify_one();
   return Status::OK();
 }
 
-void SocketTransport::ReleaseAllDelayedLocked() {
-  if (delayed_.empty()) return;
-  while (!delayed_.empty()) {
-    Entry e = std::move(delayed_.front().second);
-    delayed_.pop_front();
-    queued_bytes_ += e.bytes.size();
-    wire_bytes_.fetch_add(e.bytes.size(), std::memory_order_relaxed);
-    queue_.push_back(std::move(e));
-  }
-  queue_cv_.notify_one();
+void SocketTransport::PushLocked(Entry entry) {
+  queued_bytes_ += entry.bytes.size();
+  wire_bytes_.fetch_add(entry.bytes.size(), std::memory_order_relaxed);
+  queue_.push_back(std::move(entry));
+}
+
+void SocketTransport::ReleaseHeldLocked() {
+  std::vector<FaultInjector<Frame>::Outgoing> held;
+  faults_.Flush(&held);
+  for (const auto& h : held) PushLocked(Entry{EncodeFrame(h.message), false});
+  if (!held.empty()) queue_cv_.notify_one();
 }
 
 Status SocketTransport::Flush(uint64_t timeout_ms) {
   std::unique_lock<std::mutex> lk(mu_);
   // Fault-delayed frames are reordered, never lost: a flush point
   // releases all of them.
-  ReleaseAllDelayedLocked();
+  ReleaseHeldLocked();
   const auto drained = [this] {
     return (queue_.empty() && queued_bytes_ == 0) || !error_.ok();
   };
@@ -419,10 +378,7 @@ void SocketTransport::SenderLoop() {
           hb.type = FrameType::kHeartbeat;
           hb.from = node_;
           hb.seq = next_seq_++;
-          Entry e{EncodeFrame(hb), false};
-          queued_bytes_ += e.bytes.size();
-          wire_bytes_.fetch_add(e.bytes.size(), std::memory_order_relaxed);
-          queue_.push_back(std::move(e));
+          PushLocked(Entry{EncodeFrame(hb), false});
         }
       } else {
         queue_cv_.wait(lk, [this] { return !queue_.empty() || stop_; });
@@ -568,9 +524,9 @@ Status SocketTransport::status() const {
   return error_;
 }
 
-SocketTransport::FaultCounters SocketTransport::fault_counters() const {
+InjectionStats SocketTransport::injection_stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return fault_counters_;
+  return faults_.stats();
 }
 
 // ---------------------------------------------------------------------------

@@ -146,20 +146,16 @@ class SocketTransport final : public Transport {
     /// retryable write failure is then terminal, the pre-PR-9 behavior).
     int reconnect_attempts = 8;
     uint32_t epoch = 1;  ///< announced in kHello; > 1 flags a rejoin
-    /// Optional deterministic fault schedule applied to outgoing
-    /// application frames (never kHello/kHeartbeat/kDone): drops,
-    /// payload bit-flips, byte-identical duplicates, delay-reordering
-    /// and mid-stream connection severs. Not owned; may be shared.
+    /// Optional deterministic fault schedule, applied through a
+    /// FaultInjector (dist/fault.h) to outgoing application frames only
+    /// (never kHello/kHeartbeat/kDone), indexed under this transport's
+    /// node: drops, byte-identical duplicates (same seq), payload
+    /// bit-flips made before framing (the frame checksum passes; the
+    /// payload's own checksum must catch them), delay-reordering (a held
+    /// frame keeps its seq) and mid-stream connection severs. The same
+    /// plan and script inject the same faults as FaultInjectingTransport.
+    /// Not owned; may be shared.
     const FaultPlan* fault_plan = nullptr;
-  };
-
-  /// Wire-level faults this transport injected (fault_plan only).
-  struct FaultCounters {
-    uint64_t drops = 0;
-    uint64_t duplicates = 0;
-    uint64_t corrupts = 0;
-    uint64_t delays = 0;
-    uint64_t severs = 0;
   };
 
   /// Connects to `host:port`, announces `self` with a kHello frame and
@@ -211,7 +207,8 @@ class SocketTransport final : public Transport {
     return reconnects_.load(std::memory_order_relaxed);
   }
 
-  FaultCounters fault_counters() const;
+  /// Faults injected so far (all zero without a fault_plan).
+  InjectionStats injection_stats() const;
 
  private:
   /// One queued, already-encoded frame. `sever_after` marks a frame the
@@ -231,8 +228,12 @@ class SocketTransport final : public Transport {
   /// Enqueues entries verbatim, blocking on the backpressure bound.
   Status EnqueueEntries(std::vector<Entry> entries);
 
-  /// Moves every still-delayed fault frame into the send queue.
-  void ReleaseAllDelayedLocked();
+  /// Appends one encoded entry to the send queue (mu_ held).
+  void PushLocked(Entry entry);
+
+  /// Moves the frames the fault injector still holds into the send
+  /// queue (mu_ held).
+  void ReleaseHeldLocked();
 
   /// Sender-thread main loop: coalesce + write, idle heartbeats,
   /// backoff reconnect on retryable failures.
@@ -255,9 +256,7 @@ class SocketTransport final : public Transport {
   bool stop_ = false;
   Status error_;  ///< sticky first terminal failure
   uint64_t next_seq_ = 0;
-  uint64_t fault_index_ = 0;  ///< faultable frames sent (plan coordinate)
-  std::deque<std::pair<uint64_t, Entry>> delayed_;  ///< (release_index, frame)
-  FaultCounters fault_counters_;
+  FaultInjector<Frame> faults_;  ///< used only with Options::fault_plan
 
   std::atomic<uint64_t> payload_messages_{0};
   std::atomic<uint64_t> payload_bytes_{0};

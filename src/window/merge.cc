@@ -24,50 +24,6 @@ void AppendBucketEvents(const std::vector<BucketView>& buckets,
   }
 }
 
-Result<ExponentialHistogram> MergeHistograms(
-    const std::vector<const ExponentialHistogram*>& inputs,
-    double eps_prime) {
-  if (inputs.empty()) {
-    return Status::InvalidArgument("MergeHistograms: no inputs");
-  }
-  uint64_t window = inputs[0]->window_len();
-  for (const auto* eh : inputs) {
-    if (eh->window_len() != window) {
-      return Status::Incompatible(
-          "MergeHistograms: inputs cover different window lengths");
-    }
-  }
-  std::vector<ReplayEvent> events;
-  for (const auto* eh : inputs) AppendBucketEvents(eh->Buckets(), &events);
-
-  ExponentialHistogram merged(
-      ExponentialHistogram::Config{eps_prime, window});
-  ReplayInto(std::move(events), &merged);
-  return merged;
-}
-
-Result<DeterministicWave> MergeWaves(
-    const std::vector<const DeterministicWave*>& inputs, double eps_prime,
-    uint64_t max_arrivals) {
-  if (inputs.empty()) {
-    return Status::InvalidArgument("MergeWaves: no inputs");
-  }
-  uint64_t window = inputs[0]->window_len();
-  for (const auto* dw : inputs) {
-    if (dw->window_len() != window) {
-      return Status::Incompatible(
-          "MergeWaves: inputs cover different window lengths");
-    }
-  }
-  std::vector<ReplayEvent> events;
-  for (const auto* dw : inputs) AppendBucketEvents(dw->Buckets(), &events);
-
-  DeterministicWave merged(
-      DeterministicWave::Config{eps_prime, window, max_arrivals});
-  ReplayInto(std::move(events), &merged);
-  return merged;
-}
-
 namespace {
 
 using RwSample = RandomizedWave::Sample;

@@ -40,30 +40,37 @@ struct ReplayEvent {
 void AppendBucketEvents(const std::vector<BucketView>& buckets,
                         std::vector<ReplayEvent>* events);
 
-/// Sorts events by timestamp (stable) and replays them into `target`,
-/// which may be any sliding-window counter.
-template <SlidingWindowCounter C>
-void ReplayInto(std::vector<ReplayEvent> events, C* target) {
+/// Merges time-based bucket-exporting synopses by replay (§5.1): each
+/// input's bucket log becomes replay events (AppendBucketEvents), which
+/// are stably sorted by timestamp and replayed into a fresh counter built
+/// from `config`. For exponential histograms with config.epsilon = ε' the
+/// merged relative error is <= ε + ε' + εε' (Theorem 4); "the aggregation
+/// technique trivially extends for deterministic waves", whose
+/// config.max_arrivals should be the sum of per-stream bounds; exact
+/// windows merge losslessly. Fails on no inputs, or when an input's
+/// window length differs from config.window_len.
+template <BucketExportingCounter C>
+Result<C> MergeByReplay(const std::vector<const C*>& inputs,
+                        const typename C::Config& config) {
+  if (inputs.empty()) {
+    return Status::InvalidArgument("MergeByReplay: no inputs");
+  }
+  std::vector<ReplayEvent> events;
+  for (const C* c : inputs) {
+    if (c->window_len() != config.window_len) {
+      return Status::Incompatible(
+          "MergeByReplay: inputs cover different window lengths");
+    }
+    AppendBucketEvents(c->Buckets(), &events);
+  }
   std::stable_sort(events.begin(), events.end(),
                    [](const ReplayEvent& a, const ReplayEvent& b) {
                      return a.ts < b.ts;
                    });
-  for (const ReplayEvent& e : events) target->Add(e.ts, e.count);
+  C merged(config);
+  for (const ReplayEvent& e : events) merged.Add(e.ts, e.count);
+  return merged;
 }
-
-/// Merges time-based exponential histograms (§5.1, Theorem 4). The result
-/// is a fresh histogram with error parameter `eps_prime` covering the same
-/// window; querying it carries relative error <= ε + ε' + εε'.
-/// Fails if the inputs disagree on window length.
-Result<ExponentialHistogram> MergeHistograms(
-    const std::vector<const ExponentialHistogram*>& inputs, double eps_prime);
-
-/// Merges time-based deterministic waves ("the aggregation technique
-/// trivially extends for deterministic waves", §5.1). `max_arrivals` sizes
-/// the merged wave's levels; pass the sum of per-stream bounds.
-Result<DeterministicWave> MergeWaves(
-    const std::vector<const DeterministicWave*>& inputs, double eps_prime,
-    uint64_t max_arrivals);
 
 /// Losslessly merges randomized waves (§5.2): per level, the union of the
 /// input samples sorted by timestamp, truncated to the level capacity; if

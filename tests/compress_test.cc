@@ -361,14 +361,8 @@ void ChannelDifferentialImpl(CompressionMode mode) {
 TEST(SketchChannelTest, DifferentialFullEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DifferentialRlzEh) {
-  ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kRlz);
-}
 TEST(SketchChannelTest, DifferentialAutoEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kAuto);
-}
-TEST(SketchChannelTest, DifferentialRlzRw) {
-  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kRlz);
 }
 TEST(SketchChannelTest, DifferentialAutoRw) {
   ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kAuto);
@@ -376,7 +370,7 @@ TEST(SketchChannelTest, DifferentialAutoRw) {
 
 TEST(SketchChannelTest, ReceiverRejectsRlzBeforeFirstSnapshot) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kRlz;
+  opts.mode = CompressionMode::kAuto;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
@@ -395,7 +389,7 @@ TEST(SketchChannelTest, ReceiverRejectsRlzBeforeFirstSnapshot) {
 
 TEST(SketchChannelTest, DeltaImagesAlwaysRejectWithoutMutation) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kRlz;
+  opts.mode = CompressionMode::kAuto;
   SketchSender<ExponentialHistogram> sender(opts);
   SketchReceiver<ExponentialHistogram> receiver(opts);
   auto local = MakeSketch<ExponentialHistogram>();
@@ -520,18 +514,19 @@ TEST(SketchChannelTest, DuplicateDeliveryIdempotentFullEh) {
   DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(
       CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzEh) {
-  DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(CompressionMode::kRlz);
+TEST(SketchChannelTest, DuplicateDeliveryIdempotentAutoEh) {
+  DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(CompressionMode::kAuto);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzRw) {
-  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kRlz);
+TEST(SketchChannelTest, DuplicateDeliveryIdempotentAutoRw) {
+  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kAuto);
 }
 
 TEST(SketchChannelTest, CorruptedDuplicateRejectsInsteadOfAbsorbing) {
   // A retransmit whose payload was damaged in flight keeps the header of
   // the image just applied; it must fail as corruption, not pass as a
   // duplicate, and leave the applied state alone.
-  for (CompressionMode mode : {CompressionMode::kFull, CompressionMode::kRlz}) {
+  for (CompressionMode mode :
+       {CompressionMode::kFull, CompressionMode::kAuto}) {
     CompressionOptions opts;
     opts.mode = mode;
     SketchSender<ExponentialHistogram> sender(opts);
@@ -564,7 +559,7 @@ TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
   // replay from further back is a stale base and must reject without
   // touching the receiver's state.
   CompressionOptions opts;
-  opts.mode = CompressionMode::kRlz;
+  opts.mode = CompressionMode::kAuto;
   SketchSender<ExponentialHistogram> sender(opts);
   SketchReceiver<ExponentialHistogram> receiver(opts);
   auto local = MakeSketch<ExponentialHistogram>();
@@ -622,7 +617,7 @@ TEST(SketchChannelTest, ResetClearsDuplicateFingerprint) {
 
 TEST(SketchChannelTest, SenderResetRebasesWithFullImage) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kRlz;
+  opts.mode = CompressionMode::kAuto;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;

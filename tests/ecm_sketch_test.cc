@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 #include "src/stream/generators.h"
 #include "src/util/random.h"
@@ -230,7 +231,8 @@ TEST(EcmSketchTest, RowEstimatesSumToL1PerRow) {
   EcmEh sketch(TestConfig(0.1, 0.1, 100000));
   for (Timestamp t = 1; t <= 1000; ++t) sketch.Add(t % 50, t);
   for (int row = 0; row < sketch.config().depth; ++row) {
-    auto estimates = sketch.RowEstimates(row, 100000, sketch.Now());
+    std::vector<double> estimates(sketch.config().width);
+    sketch.EstimateRowAt(row, 100000, sketch.Now(), estimates.data());
     double sum = 0.0;
     for (double v : estimates) sum += v;
     EXPECT_NEAR(sum, 1000.0, 1000 * 0.1 + 2);

@@ -34,30 +34,30 @@ class MultiStreamTruth {
   std::vector<Timestamp> stamps_;
 };
 
-TEST(MergeHistogramsTest, RejectsEmptyInput) {
-  EXPECT_FALSE(MergeHistograms({}, 0.1).ok());
+TEST(MergeByReplayEhTest, RejectsEmptyInput) {
+  EXPECT_FALSE(MergeByReplay<ExponentialHistogram>({}, {0.1, 100}).ok());
 }
 
-TEST(MergeHistogramsTest, RejectsMismatchedWindows) {
+TEST(MergeByReplayEhTest, RejectsMismatchedWindows) {
   ExponentialHistogram a({0.1, 100});
   ExponentialHistogram b({0.1, 200});
-  auto r = MergeHistograms({&a, &b}, 0.1);
+  auto r = MergeByReplay<ExponentialHistogram>({&a, &b}, {0.1, 100});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIncompatible);
 }
 
-TEST(MergeHistogramsTest, MergeOfEmptiesIsEmpty) {
+TEST(MergeByReplayEhTest, MergeOfEmptiesIsEmpty) {
   ExponentialHistogram a({0.1, 100});
   ExponentialHistogram b({0.1, 100});
-  auto m = MergeHistograms({&a, &b}, 0.1);
+  auto m = MergeByReplay<ExponentialHistogram>({&a, &b}, {0.1, 100});
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(m->Empty());
 }
 
-TEST(MergeHistogramsTest, SingleInputPreservesCount) {
+TEST(MergeByReplayEhTest, SingleInputPreservesCount) {
   ExponentialHistogram a({0.1, 100000});
   for (Timestamp t = 1; t <= 2000; ++t) a.Add(t);
-  auto m = MergeHistograms({&a}, 0.1);
+  auto m = MergeByReplay<ExponentialHistogram>({&a}, {0.1, 100000});
   ASSERT_TRUE(m.ok());
   double orig = a.Estimate(2000, 100000);
   double merged = m->Estimate(2000, 100000);
@@ -65,12 +65,12 @@ TEST(MergeHistogramsTest, SingleInputPreservesCount) {
   EXPECT_NEAR(merged, orig, orig * 0.25 + 2.0);
 }
 
-TEST(MergeHistogramsTest, MergedTotalMatchesSumOfBucketTotals) {
+TEST(MergeByReplayEhTest, MergedTotalMatchesSumOfBucketTotals) {
   ExponentialHistogram a({0.1, 1 << 20});
   ExponentialHistogram b({0.1, 1 << 20});
   for (Timestamp t = 1; t <= 1000; ++t) a.Add(t);
   for (Timestamp t = 1; t <= 1500; ++t) b.Add(t * 2);
-  auto m = MergeHistograms({&a, &b}, 0.1);
+  auto m = MergeByReplay<ExponentialHistogram>({&a, &b}, {0.1, 1 << 20});
   ASSERT_TRUE(m.ok());
   // Replay conserves every bit that was in a bucket.
   EXPECT_EQ(m->BucketTotal(), a.BucketTotal() + b.BucketTotal());
@@ -104,7 +104,7 @@ TEST_P(MergeErrorSweep, Theorem4Bound) {
   }
   std::vector<const ExponentialHistogram*> ptrs;
   for (auto& eh : ehs) ptrs.push_back(&eh);
-  auto merged = MergeHistograms(ptrs, p.eps_prime);
+  auto merged = MergeByReplay(ptrs, {p.eps_prime, kWindow});
   ASSERT_TRUE(merged.ok());
 
   double bound = p.eps + p.eps_prime + p.eps * p.eps_prime;
@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
                       MergeSweepParam{0.2, 0.2, 3},
                       MergeSweepParam{0.05, 0.2, 4}));
 
-TEST(MergeWavesTest, Theorem4StyleBoundHolds) {
+TEST(MergeByReplayDwTest, Theorem4StyleBoundHolds) {
   constexpr uint64_t kWindow = 1 << 20;
   constexpr double kEps = 0.1;
   DeterministicWave a({kEps, kWindow, 1 << 18});
@@ -142,7 +142,8 @@ TEST(MergeWavesTest, Theorem4StyleBoundHolds) {
     }
     truth.Add(t);
   }
-  auto merged = MergeWaves({&a, &b}, kEps, 1 << 19);
+  auto merged =
+      MergeByReplay<DeterministicWave>({&a, &b}, {kEps, kWindow, 1 << 19});
   ASSERT_TRUE(merged.ok());
   double bound = kEps + kEps + kEps * kEps;
   for (uint64_t range : {5000ULL, 30000ULL}) {
@@ -153,10 +154,11 @@ TEST(MergeWavesTest, Theorem4StyleBoundHolds) {
   }
 }
 
-TEST(MergeWavesTest, RejectsMismatchedWindows) {
+TEST(MergeByReplayDwTest, RejectsMismatchedWindows) {
   DeterministicWave a({0.1, 100, 1000});
   DeterministicWave b({0.1, 999, 1000});
-  EXPECT_FALSE(MergeWaves({&a, &b}, 0.1, 1000).ok());
+  EXPECT_FALSE(
+      MergeByReplay<DeterministicWave>({&a, &b}, {0.1, 100, 1000}).ok());
 }
 
 TEST(MergeRandomizedWavesTest, RejectsMismatchedConfig) {

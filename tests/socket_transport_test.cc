@@ -589,7 +589,7 @@ class CompressedSink {
 
 TEST(SocketTransportTest, RejoinEpochInvalidatesRlzBase) {
   CompressionOptions copts;
-  copts.mode = CompressionMode::kRlz;
+  copts.mode = CompressionMode::kAuto;
   CompressedSink sink(copts);
   CoordinatorServer::Options sopt;
   sopt.heartbeat_timeout_ms = 100;
@@ -674,7 +674,7 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesRlzBase) {
 
 TEST(SocketTransportTest, DeltaFrameRejectsWithoutMutation) {
   CompressionOptions copts;
-  copts.mode = CompressionMode::kRlz;
+  copts.mode = CompressionMode::kAuto;
   CompressedSink sink(copts);
   auto server =
       CoordinatorServer::Start(0, CoordinatorServer::Options{}, sink.handler());
@@ -1045,7 +1045,7 @@ TEST(SocketTransportTest, SeverFaultHealsWithoutLosingFrames) {
     EXPECT_EQ(frames[static_cast<size_t>(i)].payload,
               std::vector<uint8_t>{static_cast<uint8_t>(i)});
   }
-  EXPECT_EQ((*client)->fault_counters().severs,
+  EXPECT_EQ((*client)->injection_stats().severs,
             static_cast<uint64_t>(kFrames));
   ASSERT_TRUE(WaitFor([&] {
     return (*client)->reconnects() == static_cast<uint64_t>(kFrames);
@@ -1088,7 +1088,7 @@ TEST(SocketTransportTest, CorruptFaultPassesFramingFailsAppChecksum) {
   ASSERT_TRUE((*client)->Flush().ok());
   ASSERT_TRUE(sink.WaitForCount(1));
 
-  EXPECT_EQ((*client)->fault_counters().corrupts, 1u);
+  EXPECT_EQ((*client)->injection_stats().corrupts, 1u);
   EXPECT_EQ((*server)->corrupt_streams(), 0u);  // framing passed
   std::vector<Frame> frames = sink.frames();
   ASSERT_EQ(frames.size(), 1u);
@@ -1123,7 +1123,7 @@ TEST(SocketTransportTest, DropAndDelayFaultsAtTheWire) {
     }
     ASSERT_TRUE((*client)->Flush().ok());
     EXPECT_EQ((*client)->stats().messages, 4u);  // offered, per PR 5 currency
-    EXPECT_EQ((*client)->fault_counters().drops, 4u);
+    EXPECT_EQ((*client)->injection_stats().drops, 4u);
   }
   EXPECT_EQ((*server)->stats().messages, 0u);
 
@@ -1145,7 +1145,7 @@ TEST(SocketTransportTest, DropAndDelayFaultsAtTheWire) {
   }
   ASSERT_TRUE((*client)->Flush().ok());
   ASSERT_TRUE(sink.WaitForCount(kFrames));
-  EXPECT_EQ((*client)->fault_counters().delays,
+  EXPECT_EQ((*client)->injection_stats().delays,
             static_cast<uint64_t>(kFrames));
   std::vector<int> seen(kFrames, 0);
   for (const Frame& f : sink.frames()) {
@@ -1153,6 +1153,85 @@ TEST(SocketTransportTest, DropAndDelayFaultsAtTheWire) {
     ++seen[f.payload[0]];
   }
   for (int c : seen) EXPECT_EQ(c, 1);
+}
+
+/// Inner transport that records every delivered payload, in order.
+class RecordingTransport final : public Transport {
+ public:
+  void Send(NodeId, NodeId, const uint8_t* data, size_t size) override {
+    payloads.emplace_back(data, data + size);
+  }
+  NetworkStats stats() const override { return {}; }
+
+  std::vector<std::vector<uint8_t>> payloads;
+};
+
+TEST(SocketTransportTest, FaultPlanInjectsTheSameThroughBothTransports) {
+  // One plan, one node's script, two transports: the in-process
+  // decorator and the TCP transport apply the plan through the same
+  // FaultInjector, so they must count the same faults and deliver the
+  // same payloads in the same order.
+  FaultPlanConfig fcfg;
+  fcfg.seed = 5;
+  fcfg.drop_p = 0.15;
+  fcfg.duplicate_p = 0.15;
+  fcfg.corrupt_p = 0.15;
+  fcfg.delay_p = 0.15;
+  fcfg.max_delay_frames = 3;
+  const FaultPlan plan(fcfg);
+  constexpr NodeId kNode = 4;
+  constexpr uint64_t kMessages = 60;
+
+  // The first message the plan corrupts is empty: it has no bit to flip,
+  // so it passes unflipped and uncounted through both.
+  std::vector<std::vector<uint8_t>> script;
+  bool emptied = false;
+  for (uint64_t i = 0; i < kMessages; ++i) {
+    std::vector<uint8_t> payload(8 + i % 5);
+    for (size_t j = 0; j < payload.size(); ++j) {
+      payload[j] = static_cast<uint8_t>(i * 13 + j);
+    }
+    if (!emptied && plan.ActionFor(kNode, i) == FaultAction::kCorrupt) {
+      payload.clear();
+      emptied = true;
+    }
+    script.push_back(std::move(payload));
+  }
+  ASSERT_TRUE(emptied);
+
+  RecordingTransport inner;
+  FaultInjectingTransport decorator(&inner, &plan);
+  for (const auto& p : script) {
+    decorator.Send(kNode, kCoordinatorNode, p.data(), p.size());
+  }
+  decorator.FlushDelayed();
+  const InjectionStats expect = decorator.injection_stats();
+  EXPECT_EQ(expect.messages, kMessages);
+  EXPECT_GT(expect.drops, 0u);
+  EXPECT_GT(expect.duplicates, 0u);
+  EXPECT_GT(expect.corrupts, 0u);
+  EXPECT_GT(expect.delays, 0u);
+
+  FrameSink sink;
+  auto server =
+      CoordinatorServer::Start(0, CoordinatorServer::Options{}, sink.handler());
+  ASSERT_TRUE(server.ok());
+  SocketTransport::Options topt;
+  topt.heartbeat_period_ms = 0;
+  topt.fault_plan = &plan;
+  auto client =
+      SocketTransport::Connect("127.0.0.1", (*server)->port(), kNode, topt);
+  ASSERT_TRUE(client.ok());
+  for (const auto& p : script) {
+    (*client)->Send(kNode, kCoordinatorNode, p.data(), p.size());
+  }
+  ASSERT_TRUE((*client)->Flush().ok());
+  ASSERT_TRUE(sink.WaitForCount(inner.payloads.size()));
+
+  EXPECT_EQ((*client)->injection_stats(), expect);
+  std::vector<std::vector<uint8_t>> delivered;
+  for (const Frame& f : sink.frames()) delivered.push_back(f.payload);
+  EXPECT_EQ(delivered, inner.payloads);
 }
 
 // --- Coordinator-side hello refusal ----------------------------------------
