@@ -30,6 +30,7 @@ struct RunResult {
   uint64_t bytes = 0;
   uint64_t pushes = 0;
   double stale_error = 0.0;  // avg point error of the unsynced view
+                             // (answered at its latest snapshot clock)
 };
 
 RunResult RunSchedule(const std::vector<StreamEvent>& events,
@@ -41,24 +42,18 @@ RunResult RunSchedule(const std::vector<StreamEvent>& events,
   out.bytes = agg.stats().network.bytes;
   out.pushes = agg.stats().pushes;
 
-  Timestamp now = events.back().ts;
-  auto view = agg.GlobalView();
-  if (!view.ok()) {
-    (void)agg.SyncAll();
-    view = agg.GlobalView();
+  if (!agg.GlobalPointQuery(0, kWindow).ok()) (void)agg.SyncAll();
+  auto exact = ComputeExactRangeStats(events, events.back().ts, kWindow);
+  double sum = 0.0;
+  size_t n = 0;
+  for (const auto& [key, count] : exact.freqs) {
+    auto est = agg.GlobalPointQuery(key, kWindow);
+    if (!est.ok()) break;
+    sum += std::abs(*est - static_cast<double>(count)) /
+           static_cast<double>(exact.l1);
+    ++n;
   }
-  if (view.ok()) {
-    auto exact = ComputeExactRangeStats(events, now, kWindow);
-    double sum = 0.0;
-    size_t n = 0;
-    for (const auto& [key, count] : exact.freqs) {
-      double est = view->PointQueryAt(key, kWindow, std::max(now, view->Now()));
-      sum += std::abs(est - static_cast<double>(count)) /
-             static_cast<double>(exact.l1);
-      ++n;
-    }
-    out.stale_error = n ? sum / static_cast<double>(n) : 0.0;
-  }
+  out.stale_error = n ? sum / static_cast<double>(n) : 0.0;
   return out;
 }
 

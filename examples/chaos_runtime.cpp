@@ -54,6 +54,7 @@
 #include "src/dist/serialize.h"
 #include "src/dist/socket_transport.h"
 #include "src/stream/snmp_like.h"
+#include "src/window/window_spec.h"
 
 using namespace ecm;
 
@@ -107,15 +108,16 @@ Flags ParseFlags(int argc, char** argv) {
 }
 
 /// Exact per-key truth: sorted arrival timestamps, so the true count of
-/// a key in window (0, now] is one upper_bound away.
+/// a key in the query window (now - range, now] is two upper_bounds away.
 struct Truth {
   std::unordered_map<uint64_t, std::vector<Timestamp>> arrivals;
-  uint64_t CountUpTo(uint64_t key, Timestamp now) const {
+  uint64_t CountIn(uint64_t key, Timestamp now, uint64_t range) const {
     auto it = arrivals.find(key);
     if (it == arrivals.end()) return 0;
     const auto& ts = it->second;
     return static_cast<uint64_t>(
-        std::upper_bound(ts.begin(), ts.end(), now) - ts.begin());
+        std::upper_bound(ts.begin(), ts.end(), now) -
+        std::upper_bound(ts.begin(), ts.end(), WindowStart(now, range)));
   }
 };
 
@@ -178,8 +180,8 @@ int main(int argc, char** argv) {
     query_keys.push_back(by_count[static_cast<size_t>(i)].first);
   }
 
-  // Window long enough that nothing ever expires: a query at clock
-  // `now` over range `now` then counts exactly the arrivals in (0, now].
+  // Window long enough that nothing ever expires: every arrival in a
+  // query's range is still held by the sketches.
   auto cfg = EcmConfig::Create(/*epsilon=*/0.05, /*delta=*/0.02,
                                WindowMode::kTimeBased,
                                /*window_len=*/2 * max_ts + 16, kSketchSeed);
@@ -337,6 +339,9 @@ int main(int argc, char** argv) {
     const Timestamp now = view.LatestClock();
     if (now > 0) {
       for (const uint64_t key : query_keys) {
+        // The view pins its answer clock at or past `now` (a snapshot
+        // may land between LatestClock() and the query), so the truth is
+        // taken at the clock the answer reports.
         auto q = view.PointQuery(key, /*range=*/now, now);
         if (!q.ok()) {
           // No serving subset yet (startup, or every site mid-outage):
@@ -347,7 +352,7 @@ int main(int argc, char** argv) {
         ++queries;
         if (q->degraded) ++degraded_queries;
         const double exact =
-            static_cast<double>(truth.CountUpTo(key, now));
+            static_cast<double>(truth.CountIn(key, q->now, /*range=*/now));
         const double err = std::abs(q->estimate - exact);
         if (q->error_bound > 0) {
           max_utilization = std::max(max_utilization, err / q->error_bound);
@@ -358,7 +363,7 @@ int main(int argc, char** argv) {
                        "FAIL: bound violation key=%" PRIu64 " now=%" PRIu64
                        " est=%.1f exact=%.0f err=%.1f bound=%.1f "
                        "(sketch=%.1f slack=%.1f, %d incl/%d stale/%d excl)\n",
-                       key, now, q->estimate, exact, err, q->error_bound,
+                       key, q->now, q->estimate, exact, err, q->error_bound,
                        q->sketch_error, q->staleness_slack,
                        q->sites_included, q->sites_stale,
                        q->sites_excluded);

@@ -443,23 +443,8 @@ class EcmSketch {
   /// are rejected (Fig. 2).
   static Result<EcmSketch> Merge(const std::vector<const EcmSketch*>& inputs,
                                  double eps_prime_sw, uint64_t seed = 0) {
-    if (inputs.empty()) {
-      return Status::InvalidArgument("EcmSketch::Merge: no inputs");
-    }
+    ECM_RETURN_NOT_OK(CheckInputs(inputs));
     const EcmSketch& first = *inputs[0];
-    if (first.config_.mode == WindowMode::kCountBased) {
-      return Status::Unsupported(
-          "count-based ECM-sketches cannot be merged: the synopses lose the "
-          "interleaving of the streams' arrivals (paper Fig. 2)");
-    }
-    for (const auto* s : inputs) {
-      if (!first.config_.CompatibleWith(s->config_)) {
-        return Status::Incompatible(
-            "EcmSketch::Merge: sketches have different dimensions, seeds, "
-            "windows or modes");
-      }
-    }
-
     EcmConfig merged_cfg = first.config_;
     merged_cfg.epsilon_sw = eps_prime_sw;
     // Error after one aggregation level (Theorem 4 + §5.3): window error
@@ -484,6 +469,37 @@ class EcmSketch {
       merged.last_ts_ = std::max(merged.last_ts_, s->last_ts_);
     }
     return merged;
+  }
+
+  /// Point query over the union of parallel time-based streams without
+  /// merging: per row, sum the inputs' cell estimates; min over rows.
+  /// Each input errs by at most ε_sw of its own cell count, so Theorem 1's
+  /// ε_cm + ε_sw + ε_cm·ε_sw holds (Merge pays Theorem 4's 2ε_sw + ε_sw²).
+  static Result<double> SumPointQueryAt(
+      const std::vector<const EcmSketch*>& sites, uint64_t key,
+      uint64_t range, Timestamp now) {
+    ECM_RETURN_NOT_OK(CheckInputs(sites, now));
+    uint32_t cols[kMaxSketchDepth];
+    sites[0]->RowBuckets(key, cols);
+    double best = std::numeric_limits<double>::infinity();
+    for (int j = 0; j < sites[0]->config_.depth; ++j) {
+      double cell = 0.0;
+      for (const auto* s : sites) {
+        cell += s->CounterAt(j, cols[j]).Estimate(now, range);
+      }
+      best = std::min(best, cell);
+    }
+    return best;
+  }
+
+  /// Windowed L1 of the union stream: the sum of the inputs' memoized
+  /// EstimateL1At. Same input rules as SumPointQueryAt.
+  static Result<double> SumL1At(const std::vector<const EcmSketch*>& sites,
+                                uint64_t range, Timestamp now) {
+    ECM_RETURN_NOT_OK(CheckInputs(sites, now));
+    double total = 0.0;
+    for (const auto* s : sites) total += s->EstimateL1At(range, now);
+    return total;
   }
 
   /// Current clock: last Add timestamp (time-based) or total arrivals
@@ -534,12 +550,30 @@ class EcmSketch {
     return counters_[static_cast<size_t>(row) * config_.width + col];
   }
 
-  /// Monotone state-mutation stamp. Every Add/AdvanceTo/RestoreClock and
-  /// every mutable CounterAt access bumps it; the EstimateL1At memo keys
-  /// on it.
-  uint64_t version() const { return version_; }
-
  private:
+  // The input rules Merge and the Sum* reads share: some input, all
+  // time-based (Fig. 2) and compatible, none ahead of the reads' `now`.
+  static Status CheckInputs(const std::vector<const EcmSketch*>& inputs,
+                            Timestamp now = ~Timestamp{0}) {
+    if (inputs.empty()) return Status::InvalidArgument("EcmSketch: no inputs");
+    const EcmConfig& first = inputs[0]->config_;
+    if (first.mode == WindowMode::kCountBased) {
+      return Status::Unsupported(
+          "count-based ECM-sketches cannot be combined: the synopses lose "
+          "the interleaving of the streams' arrivals (paper Fig. 2)");
+    }
+    for (const auto* s : inputs) {
+      if (!first.CompatibleWith(s->config_)) {
+        return Status::Incompatible(
+            "EcmSketch: inputs differ in dimensions, seeds, windows or mode");
+      }
+      if (now < s->Now()) {
+        return Status::InvalidArgument("EcmSketch: clock behind an input's");
+      }
+    }
+    return Status::OK();
+  }
+
   // Merges one counter cell across the input sketches: randomized waves
   // unite their samples (§5.2), every other counter merges by replay
   // (§5.1).

@@ -1,15 +1,17 @@
 // Graceful degradation for the distributed runtime: honest answers from
 // a coordinator whose sites are down, flapping, or lagging.
 //
-// The fault-free protocol merges one fresh snapshot per site, so a point
-// query carries the §5.1-calibrated guarantee eps_q * ||a||_1. During an
-// outage the coordinator only has *last-known-good* snapshots for some
-// sites — silently merging them reports the fault-free bound for an
-// answer that is missing every arrival since each stale snapshot's
-// clock. DegradingMergeView makes that gap explicit instead: it retains
-// the best (max event-clock) snapshot per site, tracks per-site
-// staleness against the query clock, and answers according to a
-// DegradationPolicy:
+// The fault-free protocol answers from one fresh snapshot per site,
+// without merging: it sums the snapshots' cell estimates per row and
+// takes the min over rows (EcmSketch::SumPointQueryAt), so a point query
+// carries Theorem 1's guarantee eps_q * ||a||_1 with eps_q = eps_cm +
+// eps_sw + eps_cm * eps_sw. During an outage the coordinator only has
+// *last-known-good* snapshots for some sites — silently answering from
+// them reports the fault-free bound for an answer that is missing every
+// arrival since each stale snapshot's clock. DegradingMergeView makes
+// that gap explicit instead: it retains the best (max event-clock)
+// snapshot per site, tracks per-site staleness against the query clock,
+// and answers according to a DegradationPolicy:
 //
 //   kFailClosed          refuse (kUnavailable) unless every site is
 //                        fresh — correctness over availability;
@@ -25,12 +27,11 @@
 // with weight). With integer timestamps, the arrivals a site may have
 // seen in (t_snap, now] that also land in the query window of length
 // `range` are then at most rate * min(now - t_snap, range), and an
-// excluded site contributes at most rate * range. The sketch term uses
-// the existing multi-level calibration (aggregation_tree.h): the flat
-// merge is one level, so eps_q = eps_cm + MultiLevelErrorBound(eps_sw, 1)
-// and the L1 read off the merged sketch is itself an estimate, upper-
-// bounded by L1_est / (1 - eps_q). Every term the bound reports is
-// computable from retained state only — no oracle, no peeking.
+// excluded site contributes at most rate * range. The L1 the sketch term
+// scales is itself an estimate, upper-bounded by L1_est / (1 - eps_q).
+// Every term the bound reports is computable from retained state only.
+// The query clock is pinned under the view's lock to max(now, every
+// retained snapshot's clock), so no snapshot is read ahead of it.
 //
 // The view is transport-agnostic on purpose: feed it decoded sketches
 // (Coordinator/SketchReceiver output) or serialized images straight off
@@ -46,11 +47,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/ecm_sketch.h"
-#include "src/dist/aggregation_tree.h"
 #include "src/dist/serialize.h"
 #include "src/dist/transport.h"
 #include "src/util/result.h"
@@ -101,7 +100,7 @@ struct DegradedEstimate {
   Timestamp now = 0;       ///< query clock the answer is relative to
 };
 
-/// Last-known-good merge view over per-site sketch snapshots.
+/// Last-known-good view over per-site sketch snapshots.
 /// Thread-safe: transport reader threads Update() while a query thread
 /// calls PointQuery(). Snapshots only move forward in event time — a
 /// delayed, reordered older image can never overwrite a newer one.
@@ -139,49 +138,38 @@ class DegradingMergeView {
   /// natural query clock when the coordinator has no stream of its own.
   Timestamp LatestClock() const {
     std::lock_guard<std::mutex> lk(mu_);
-    Timestamp latest = 0;
-    for (const Entry& e : entries_) {
-      if (e.sketch.has_value()) latest = std::max(latest, e.sketch->Now());
-    }
-    return latest;
+    return LatestClockLocked();
   }
 
-  /// Point query at clock `now` over the trailing `range` ticks,
-  /// answered per the configured policy with an honest inflated bound.
+  /// Point query over the trailing `range` ticks, answered per the
+  /// configured policy with an honest inflated bound. The answer is at
+  /// max(`now`, LatestClock()), reported in DegradedEstimate::now.
   Result<DegradedEstimate> PointQuery(uint64_t key, uint64_t range,
                                       Timestamp now) const {
     std::lock_guard<std::mutex> lk(mu_);
     if (entries_.empty()) {
       return Status::Unavailable("DegradingMergeView: no sites registered");
     }
+    now = std::max(now, LatestClockLocked());
     DegradedEstimate out;
     out.now = now;
     std::vector<const EcmSketch<Counter>*> included;
-    std::vector<Timestamp> included_clocks;
     for (const Entry& e : entries_) {
+      // A site with nothing retained is never fresh: kFailClosed refuses,
+      // the serving policies put its whole window mass into the slack.
       const bool fresh = IsFreshLocked(e, now);
-      if (!e.sketch.has_value()) {
-        // Nothing retained for this site: under kFailClosed that is
-        // fatal; otherwise its whole window mass goes into the slack.
-        if (opts_.policy == DegradationPolicy::kFailClosed) {
-          return Status::Unavailable(
-              "DegradingMergeView: no snapshot from site " +
-              std::to_string(e.node));
-        }
-        ++out.sites_excluded;
-        continue;
-      }
       if (!fresh && opts_.policy == DegradationPolicy::kFailClosed) {
-        return Status::Unavailable("DegradingMergeView: site " +
-                                   std::to_string(e.node) + " is stale");
+        return Status::Unavailable(
+            "DegradingMergeView: site " + std::to_string(e.node) +
+            (e.sketch.has_value() ? " is stale" : " has no snapshot"));
       }
-      if (!fresh && opts_.policy == DegradationPolicy::kExcludeSite) {
+      if (!e.sketch.has_value() ||
+          (!fresh && opts_.policy == DegradationPolicy::kExcludeSite)) {
         ++out.sites_excluded;
         continue;
       }
       if (!fresh) ++out.sites_stale;
       included.push_back(&*e.sketch);
-      included_clocks.push_back(e.sketch->Now());
     }
     if (included.empty()) {
       return Status::Unavailable(
@@ -190,31 +178,26 @@ class DegradingMergeView {
     out.sites_included = static_cast<int>(included.size());
     out.degraded = out.sites_stale > 0 || out.sites_excluded > 0;
 
-    const EcmConfig& cfg = included.front()->config();
-    auto merged =
-        EcmSketch<Counter>::Merge(included, cfg.epsilon_sw, cfg.seed);
-    if (!merged.ok()) return merged.status();
-    out.estimate = merged->PointQueryAt(key, range, now);
+    using Sketch = EcmSketch<Counter>;
+    ECM_ASSIGN_OR_RETURN(out.estimate,
+                         Sketch::SumPointQueryAt(included, key, range, now));
+    auto l1 = Sketch::SumL1At(included, range, now);
+    if (!l1.ok()) return l1.status();
 
-    // Sketch term: the flat merge is one aggregation level, so the
-    // window error calibrates as MultiLevelErrorBound(eps_sw, 1) on top
-    // of the Count-Min share; the L1 it scales is itself an estimate,
-    // upper-bounded by the same relative error.
+    // Sketch term: Theorem 1's budget times the upper-bounded L1.
+    const EcmConfig& cfg = included.front()->config();
     const double eps_q =
-        cfg.epsilon_cm + MultiLevelErrorBound(cfg.epsilon_sw, 1);
-    const double l1 = merged->EstimateL1At(range, now);
-    const double l1_upper = eps_q < 1.0 ? l1 / (1.0 - eps_q) : l1;
-    out.sketch_error = eps_q * l1_upper;
+        cfg.epsilon_cm + cfg.epsilon_sw + cfg.epsilon_cm * cfg.epsilon_sw;
+    out.sketch_error = eps_q * (eps_q < 1.0 ? *l1 / (1.0 - eps_q) : *l1);
 
     // Staleness slack: every included site may have absorbed mass after
     // its snapshot (even "fresh" ones are behind `now`), and every
     // excluded/missing site may have put its whole window mass on this
     // key. All of it is bounded by the declared per-tick rate ceiling.
     double slack = 0.0;
-    for (const Timestamp clock : included_clocks) {
-      const uint64_t behind = now > clock ? now - clock : 0;
+    for (const Sketch* s : included) {
       slack += opts_.max_rate_per_site *
-               static_cast<double>(std::min<uint64_t>(behind, range));
+               static_cast<double>(std::min<uint64_t>(now - s->Now(), range));
     }
     slack += opts_.max_rate_per_site * static_cast<double>(range) *
              static_cast<double>(out.sites_excluded);
@@ -240,8 +223,6 @@ class DegradingMergeView {
     return out;
   }
 
-  const DegradationOptions& options() const { return opts_; }
-
  private:
   struct Entry {
     NodeId node = 0;
@@ -256,6 +237,14 @@ class DegradingMergeView {
     entries_.push_back(Entry{});
     entries_.back().node = node;
     return entries_.back();
+  }
+
+  Timestamp LatestClockLocked() const {
+    Timestamp latest = 0;
+    for (const Entry& e : entries_) {
+      if (e.sketch.has_value()) latest = std::max(latest, e.sketch->Now());
+    }
+    return latest;
   }
 
   bool IsFreshLocked(const Entry& e, Timestamp now) const {

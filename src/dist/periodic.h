@@ -2,10 +2,13 @@
 // keeps a local time-based ECM-sketch and pushes a snapshot of it to the
 // coordinator when a trigger fires — on its first arrival, every `period`
 // ticks, and/or whenever its windowed L1 drifts by more than a configured
-// fraction since the last push. The coordinator answers global queries by
-// merging the freshest snapshot of every site, so its view lags each site
-// by at most one trigger interval (the bandwidth/freshness trade-off the
-// structure exists for).
+// fraction since the last push. The coordinator answers a global point
+// query from the freshest snapshot of every site, without merging them:
+// it sums the sites' cell estimates per row and takes the min over rows
+// (EcmSketch::SumPointQueryAt), at the latest snapshot clock, which keeps
+// Theorem 1's single-sketch bound eps_cm + eps_sw + eps_cm * eps_sw. Its
+// view lags each site by at most one trigger interval (the
+// bandwidth/freshness trade-off the structure exists for).
 //
 // Built on the shared runtime substrate: the sites, their channels and
 // the transport belong to a runtime Coordinator, and a push is
@@ -13,8 +16,7 @@
 // decoded. This class only adds the per-site trigger state, so
 // ParallelIngest can drive Process() from one worker per site shard with
 // no locking (a push only touches the pushing site's sketch, channel and
-// trigger slot; the merged coordinator view is keyed on the global push
-// count and rebuilt lazily at query time, after ingest quiesces).
+// trigger slot; queries read the snapshots after ingest quiesces).
 
 #ifndef ECM_DIST_PERIODIC_H_
 #define ECM_DIST_PERIODIC_H_
@@ -22,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/core/ecm_sketch.h"
@@ -107,19 +108,18 @@ class PeriodicAggregatorT {
     return first;
   }
 
-  /// Merged view of the freshest snapshot of every site. Fails while any
-  /// site has never pushed, or when a site's last ship failed.
-  Result<EcmSketch<Counter>> GlobalView() const {
-    auto view = MergedView();
-    if (!view.ok()) return view.status();
-    return **view;
-  }
-
-  /// Point query against the coordinator's (possibly stale) merged view.
+  /// Point query against the coordinator's (possibly stale) snapshots,
+  /// at the latest snapshot clock. Fails while any site has never
+  /// pushed, or when a site's last ship failed.
   Result<double> GlobalPointQuery(uint64_t key, uint64_t range) const {
-    auto view = MergedView();
-    if (!view.ok()) return view.status();
-    return (*view)->PointQuery(key, range);
+    std::vector<const EcmSketch<Counter>*> snapshots;
+    Timestamp now = 0;
+    for (const Trigger& tr : triggers_) {
+      if (!tr.received.ok()) return tr.received.status();
+      snapshots.push_back(*tr.received);
+      now = std::max(now, (*tr.received)->Now());
+    }
+    return EcmSketch<Counter>::SumPointQueryAt(snapshots, key, range, now);
   }
 
   /// Aggregated counters (per-site tallies summed on demand). The
@@ -187,33 +187,9 @@ class PeriodicAggregatorT {
     if (kind == PushKind::kDrift) ++tr.drift_pushes;
   }
 
-  Result<const EcmSketch<Counter>*> MergedView() const {
-    uint64_t total_pushes = 0;
-    for (const Trigger& tr : triggers_) total_pushes += tr.pushes;
-    if (merged_cache_.has_value() && merged_cache_pushes_ == total_pushes) {
-      return &*merged_cache_;
-    }
-    std::vector<const EcmSketch<Counter>*> snapshots;
-    snapshots.reserve(triggers_.size());
-    for (const Trigger& tr : triggers_) {
-      if (!tr.received.ok()) return tr.received.status();
-      snapshots.push_back(*tr.received);
-    }
-    auto merged = EcmSketch<Counter>::Merge(
-        snapshots, coord_.config().epsilon_sw, coord_.config().seed);
-    if (!merged.ok()) return merged.status();
-    merged_cache_ = std::move(*merged);
-    merged_cache_pushes_ = total_pushes;
-    return &*merged_cache_;
-  }
-
   Config config_;
   Coordinator<Counter> coord_;
   std::vector<Trigger> triggers_;  ///< one per site, same index
-  // Merged snapshot cache, keyed on the global push count (stale after
-  // any push; rebuilt lazily at query time, outside the ingest path).
-  mutable std::optional<EcmSketch<Counter>> merged_cache_;
-  mutable uint64_t merged_cache_pushes_ = 0;
 };
 
 /// The paper's default instantiation (ECM-EH sites).

@@ -19,7 +19,7 @@ namespace ecm {
 ///
 /// Usage:
 /// \code
-///   Result<EcmSketch> merged = EcmSketch::Merge(a, b);
+///   Result<EcmEh> merged = EcmEh::Merge({&a, &b}, eps_sw);
 ///   if (!merged.ok()) return merged.status();
 ///   UseSketch(*merged);
 /// \endcode

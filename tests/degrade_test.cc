@@ -1,10 +1,14 @@
 // Tests for graceful degradation (dist/degrade.h):
 //  * policy dispatch — kFailClosed refuses on any missing/stale site,
 //    kExcludeSite serves from fresh sites only, kServeStaleWithBound
-//    serves everything retained; all three agree on the clean path;
-//  * honest bounds — on a hand-built deterministic outage the reported
-//    error_bound covers |estimate - exact truth| under the declared
-//    per-site rate ceiling, and inflates with staleness/exclusion;
+//    serves everything retained; all three agree on the clean path,
+//    where the answer is the per-site cell sum under Theorem 1's bound;
+//  * honest bounds — on a hand-built deterministic outage and on a
+//    four-site Zipf stream with one stale site the reported error_bound
+//    covers |estimate - exact truth| under the declared per-site rate
+//    ceiling, and inflates with staleness/exclusion;
+//  * a pinned query clock — a snapshot ahead of the caller's clock moves
+//    the answer's clock forward instead of being read behind it;
 //  * snapshot retention — the max-event-clock guard never lets a
 //    delayed older image overwrite a newer one; SetHealth flips
 //    freshness; UpdateSerialized decodes wire images and rejects
@@ -14,12 +18,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/core/ecm_sketch.h"
+#include "src/dist/aggregation_tree.h"
 #include "src/dist/serialize.h"
+#include "src/stream/generators.h"
 #include "src/util/status.h"
 #include "src/window/exponential_histogram.h"
 #include "src/window/randomized_wave.h"
@@ -69,17 +78,23 @@ TEST(DegradeTest, HealthKnownButNoSnapshotYet) {
             StatusCode::kUnavailable);
 }
 
-TEST(DegradeTest, CleanPathMatchesDirectMergeForAllPolicies) {
+/// Theorem 1's single-sketch budget, the sketch term's relative error.
+double Theorem1Epsilon(const EcmConfig& cfg) {
+  return cfg.epsilon_cm + cfg.epsilon_sw + cfg.epsilon_cm * cfg.epsilon_sw;
+}
+
+TEST(DegradeTest, CleanPathMatchesSiteSumForAllPolicies) {
   auto s0 = MakeSketch<ExponentialHistogram>();
   auto s1 = MakeSketch<ExponentialHistogram>();
   FeedOnePerTick(&s0, kKey, 100);
   FeedOnePerTick(&s1, kKey, 100);
   const std::vector<const EcmSketch<ExponentialHistogram>*> ptrs{&s0, &s1};
-  const EcmConfig& cfg = s0.config();
-  auto merged = EcmSketch<ExponentialHistogram>::Merge(ptrs, cfg.epsilon_sw,
-                                                       cfg.seed);
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  const double direct = merged->PointQueryAt(kKey, 200, 100);
+  auto direct =
+      EcmSketch<ExponentialHistogram>::SumPointQueryAt(ptrs, kKey, 200, 100);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  auto l1 = EcmSketch<ExponentialHistogram>::SumL1At(ptrs, 200, 100);
+  ASSERT_TRUE(l1.ok()) << l1.status();
+  const double eps_q = Theorem1Epsilon(s0.config());
 
   for (DegradationPolicy policy :
        {DegradationPolicy::kFailClosed, DegradationPolicy::kServeStaleWithBound,
@@ -92,16 +107,105 @@ TEST(DegradeTest, CleanPathMatchesDirectMergeForAllPolicies) {
     view.Update(1, s1);
     auto r = view.PointQuery(kKey, 200, 100);
     ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_DOUBLE_EQ(r->estimate, direct);
+    EXPECT_DOUBLE_EQ(r->estimate, *direct);
     EXPECT_FALSE(r->degraded);
     EXPECT_EQ(r->sites_included, 2);
     EXPECT_EQ(r->sites_stale, 0);
     EXPECT_EQ(r->sites_excluded, 0);
+    EXPECT_EQ(r->now, 100u);
     // Every retained snapshot is at the query clock: zero slack, the
-    // bound is pure sketch error and it is strictly positive.
+    // bound is pure sketch error — Theorem 1's budget times the summed
+    // L1 estimate's upper bound — and it is strictly positive.
     EXPECT_DOUBLE_EQ(r->staleness_slack, 0.0);
+    EXPECT_DOUBLE_EQ(r->sketch_error, eps_q * *l1 / (1.0 - eps_q));
     EXPECT_GT(r->sketch_error, 0.0);
     EXPECT_DOUBLE_EQ(r->error_bound, r->sketch_error);
+  }
+}
+
+TEST(DegradeTest, QueryClockPinnedToNewestSnapshot) {
+  // A snapshot that landed after the caller read its clock: asked at
+  // 100, the view answers at the snapshot's 120 and says so, instead of
+  // reading a sketch behind its own clock.
+  auto s0 = MakeSketch<ExponentialHistogram>();
+  FeedOnePerTick(&s0, kKey, 120);
+  DegradingMergeView<ExponentialHistogram> view;
+  view.Update(0, s0);
+  auto r = view.PointQuery(kKey, 200, 100);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->now, 120u);
+  EXPECT_FALSE(r->degraded);
+  const double truth = 120;  // one arrival per tick over (0, 120]
+  EXPECT_LE(std::abs(r->estimate - truth), r->error_bound);
+  EXPECT_DOUBLE_EQ(r->estimate, s0.PointQueryAt(kKey, 200, 120));
+}
+
+TEST(DegradeTest, ZipfSitesWithOneStaleSiteStayInsideTheBound) {
+  // Four sites split one Zipf stream; site 3's last snapshot is 150
+  // ticks old. Every key's answer must sit inside the reported bound,
+  // and the sketch term must undercut the one-level merge calibration
+  // (eps_cm + MultiLevelErrorBound(eps_sw, 1)) the view used to report.
+  constexpr int kSites = 4;
+  constexpr uint64_t kRange = 2'000;
+  constexpr uint64_t kDomain = 400;
+  ZipfStream::Config zc;
+  zc.domain = kDomain;
+  zc.skew = 1.1;
+  zc.num_nodes = kSites;
+  zc.events_per_tick = 2.0;
+  zc.seed = 23;
+  const std::vector<StreamEvent> events = ZipfStream(zc).Take(12'000);
+  const Timestamp now = events.back().ts;
+  const Timestamp stale_clock = now - 150;
+
+  auto cfg = EcmConfig::Create(0.1, 0.05, WindowMode::kTimeBased, 4'000, 5);
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  std::vector<EcmSketch<ExponentialHistogram>> sites(
+      kSites, EcmSketch<ExponentialHistogram>(*cfg));
+  std::map<std::pair<uint32_t, Timestamp>, double> per_tick;
+  for (const StreamEvent& e : events) {
+    per_tick[{e.node, e.ts}] += 1.0;
+    if (e.node == kSites - 1 && e.ts > stale_clock) continue;
+    sites[e.node].Add(e.key, e.ts);
+  }
+  double max_rate = 0.0;
+  for (const auto& [site_tick, n] : per_tick) max_rate = std::max(max_rate, n);
+
+  DegradationOptions opts;
+  opts.policy = DegradationPolicy::kServeStaleWithBound;
+  opts.stale_after = 50;
+  opts.max_rate_per_site = max_rate;
+  DegradingMergeView<ExponentialHistogram> view(opts);
+  std::vector<const EcmSketch<ExponentialHistogram>*> ptrs;
+  for (int i = 0; i < kSites; ++i) {
+    view.Update(static_cast<NodeId>(i), sites[i]);
+    ptrs.push_back(&sites[i]);
+  }
+
+  // The old sketch term: one merge level, its L1 read off the merge.
+  auto merged = EcmSketch<ExponentialHistogram>::Merge(ptrs, cfg->epsilon_sw,
+                                                       cfg->seed);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const double eps_old =
+      cfg->epsilon_cm + MultiLevelErrorBound(cfg->epsilon_sw, 1);
+  const double old_term =
+      eps_old * merged->EstimateL1At(kRange, now) / (1.0 - eps_old);
+
+  const ExactRangeStats exact = ComputeExactRangeStats(events, now, kRange);
+  std::map<uint64_t, double> truth;
+  for (const auto& [key, count] : exact.freqs) {
+    truth[key] = static_cast<double>(count);
+  }
+  for (uint64_t key = 1; key <= kDomain; ++key) {  // Zipf keys are 1..n
+    auto r = view.PointQuery(key, kRange, now);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->sites_stale, 1);
+    ASSERT_GT(r->staleness_slack, 0.0);
+    EXPECT_LE(std::abs(r->estimate - truth[key]), r->error_bound)
+        << "key " << key;
+    EXPECT_DOUBLE_EQ(r->sketch_error,
+                     r->error_bound - r->staleness_slack);
+    EXPECT_LT(r->sketch_error, old_term);
   }
 }
 

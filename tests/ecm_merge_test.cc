@@ -1,11 +1,15 @@
 // Tests for ECM-sketch order-preserving aggregation (§5.3): point and
 // self-join accuracy of merged sketches vs a sketch of the union stream,
 // the Fig. 2 count-based impossibility, compatibility checks, and the
-// lossless RW merge.
+// lossless RW merge; plus the merge-free union read (SumPointQueryAt /
+// SumL1At) against its single-sketch and per-cell definitions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/core/ecm_sketch.h"
 #include "src/stream/generators.h"
@@ -210,6 +214,112 @@ TEST(EcmMergeTest, MergeIsAssociativeInDistribution) {
     double y = a_bc->PointQueryAt(key, kWindow, t);
     EXPECT_NEAR(x, y, std::max(x, y) * 0.3 + 3.0) << "key " << key;
   }
+}
+
+// --- Reading the union from the site sketches (SumPointQueryAt/SumL1At)
+
+// Three sketches of node-sharded Zipf streams whose clocks stop at
+// different ticks, the way a coordinator holds site snapshots.
+std::vector<EcmEh> BuildSites(const EcmConfig& cfg, Timestamp* now) {
+  ZipfStream::Config zc;
+  zc.domain = 500;
+  zc.num_nodes = 3;
+  zc.seed = 61;
+  const auto events = ZipfStream(zc).Take(9000);
+  std::vector<EcmEh> sites(3, EcmEh(cfg));
+  for (const auto& e : events) {
+    if (e.ts <= events.back().ts - 40 * e.node) sites[e.node].Add(e.key, e.ts);
+  }
+  *now = events.back().ts;
+  return sites;
+}
+
+EcmConfig SumCfg(uint64_t seed = 8) {
+  auto cfg = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, 5000, seed);
+  EXPECT_TRUE(cfg.ok());
+  return *cfg;
+}
+
+TEST(EcmSumReadTest, OneInputIsBitIdenticalToTheSketch) {
+  Timestamp now = 0;
+  const auto sites = BuildSites(SumCfg(), &now);
+  const EcmEh& s = sites[0];
+  for (uint64_t range : {100u, 2000u, 5000u}) {
+    for (Timestamp at : {now, now + 700}) {
+      for (uint64_t key = 1; key <= 60; ++key) {
+        auto got = EcmEh::SumPointQueryAt({&s}, key, range, at);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, s.PointQueryAt(key, range, at));
+      }
+      auto l1 = EcmEh::SumL1At({&s}, range, at);
+      ASSERT_TRUE(l1.ok()) << l1.status();
+      EXPECT_EQ(*l1, s.EstimateL1At(range, at));
+    }
+  }
+}
+
+TEST(EcmSumReadTest, ThreeInputsSumCellsThenTakeTheRowMin) {
+  Timestamp now = 0;
+  const auto sites = BuildSites(SumCfg(), &now);
+  const std::vector<const EcmEh*> ptrs{&sites[0], &sites[1], &sites[2]};
+  const int depth = sites[0].config().depth;
+  for (uint64_t range : {300u, 5000u}) {
+    for (uint64_t key = 1; key <= 80; ++key) {
+      uint32_t cols[kMaxSketchDepth];
+      sites[0].RowBuckets(key, cols);
+      double want = std::numeric_limits<double>::infinity();
+      for (int j = 0; j < depth; ++j) {
+        double cell = 0.0;
+        for (const EcmEh* s : ptrs) {
+          cell += s->CounterAt(j, cols[j]).Estimate(now, range);
+        }
+        want = std::min(want, cell);
+      }
+      auto got = EcmEh::SumPointQueryAt(ptrs, key, range, now);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_DOUBLE_EQ(*got, want) << "key " << key;
+    }
+    double l1 = 0.0;
+    for (const EcmEh* s : ptrs) l1 += s->EstimateL1At(range, now);
+    auto got = EcmEh::SumL1At(ptrs, range, now);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_DOUBLE_EQ(*got, l1);
+  }
+}
+
+TEST(EcmSumReadTest, RejectsWhatMergeRejectsAndAClockBehindAnInput) {
+  // Statuses, not asserts: each rejection holds in every build type.
+  EXPECT_EQ(EcmEh::SumPointQueryAt({}, 1, 100, 10).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EcmEh::SumL1At({}, 100, 10).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto count_cfg =
+      EcmConfig::Create(0.1, 0.1, WindowMode::kCountBased, 1000, 3);
+  ASSERT_TRUE(count_cfg.ok());
+  EcmEh c(*count_cfg);
+  c.Add(1, 0);
+  EXPECT_EQ(EcmEh::SumPointQueryAt({&c}, 1, 100, 10).status().code(),
+            StatusCode::kUnsupported);
+  EXPECT_EQ(EcmEh::SumL1At({&c}, 100, 10).status().code(),
+            StatusCode::kUnsupported);
+
+  EcmEh a(SumCfg(1)), b(SumCfg(2));
+  a.Add(1, 5);
+  b.Add(1, 5);
+  EXPECT_EQ(EcmEh::SumPointQueryAt({&a, &b}, 1, 100, 10).status().code(),
+            StatusCode::kIncompatible);
+  EXPECT_EQ(EcmEh::SumL1At({&a, &b}, 100, 10).status().code(),
+            StatusCode::kIncompatible);
+
+  // A query clock behind an input would read its counters backwards.
+  EcmEh late(SumCfg(1));
+  late.Add(1, 120);
+  EXPECT_EQ(EcmEh::SumPointQueryAt({&a, &late}, 1, 100, 100).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EcmEh::SumL1At({&a, &late}, 100, 100).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(EcmEh::SumPointQueryAt({&a, &late}, 1, 100, 120).ok());
 }
 
 }  // namespace

@@ -20,12 +20,15 @@ EcmConfig SketchCfg(uint64_t seed = 41) {
   return *cfg;
 }
 
-TEST(PeriodicAggregatorTest, GlobalViewNeedsAllSites) {
+TEST(PeriodicAggregatorTest, GlobalPointQueryNeedsAllSites) {
   PeriodicAggregator agg(3, SketchCfg(), {});
   agg.Process(0, 1, 10);
-  EXPECT_FALSE(agg.GlobalView().ok());  // sites 1 and 2 never pushed
+  // Sites 1 and 2 never pushed.
+  EXPECT_FALSE(agg.GlobalPointQuery(1, kWindow).ok());
   ASSERT_TRUE(agg.SyncAll().ok());
-  EXPECT_TRUE(agg.GlobalView().ok());
+  auto est = agg.GlobalPointQuery(1, kWindow);
+  ASSERT_TRUE(est.ok()) << est.status();
+  EXPECT_GE(*est, 1.0);
 }
 
 TEST(PeriodicAggregatorTest, FirstArrivalAlwaysPushes) {
