@@ -30,7 +30,7 @@ struct RunResult {
   uint64_t bytes = 0;
   uint64_t pushes = 0;
   double stale_error = 0.0;  // avg point error of the unsynced view
-                             // (answered at its latest snapshot clock)
+                             // (answered at the run's clock)
 };
 
 RunResult RunSchedule(const std::vector<StreamEvent>& events,

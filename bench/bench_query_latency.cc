@@ -7,7 +7,8 @@
 //  * the SIMD hash kernels per instruction-set tier;
 //  * SelfJoin and EstimateL1 (batched single-estimate-per-cell path);
 //  * RandomizedWave::Estimate at large retained-run counts;
-//  * dyadic heavy-hitter sweeps (batched frontier descent).
+//  * dyadic stack adds (exact top levels) and heavy-hitter sweeps
+//    (batched frontier descent).
 //
 // Run with `--json BENCH_prN.json` for the machine-readable rows of the
 // perf-trajectory baseline (BENCH_pr4.json is the first query-side one);
@@ -317,6 +318,29 @@ double MeasureHeavyHitters(const std::vector<StreamEvent>& events,
   return rate;
 }
 
+// Dyadic stack writes: the e2ebench query stack's shape (17 bits,
+// ε = 0.1, δ = 0.01 → 56 × 5 cells per sketch, so levels 9–16 are exact
+// prefix counters). Rate is events/s; bytes is the loaded stack.
+double MeasureDyadicAdd(const std::vector<StreamEvent>& events) {
+  constexpr int kDomainBits = 17;
+  auto dy = DyadicEcm<ExponentialHistogram>::Create(
+      kDomainBits, kEpsilon, /*delta=*/0.01, WindowMode::kTimeBased, kWindow,
+      /*seed=*/7);
+  if (!dy.ok()) {
+    std::fprintf(stderr, "dyadic config: %s\n",
+                 dy.status().ToString().c_str());
+    return 0.0;
+  }
+  const uint64_t mask = (1ULL << kDomainBits) - 1;
+  Timer timer;
+  for (const StreamEvent& e : events) dy->Add(e.key & mask, e.ts);
+  const double rate =
+      static_cast<double>(events.size()) / timer.ElapsedSeconds();
+  RecordBenchResult("query/dyadic-add/DYADIC-EH", rate,
+                    static_cast<double>(dy->MemoryBytes()));
+  return rate;
+}
+
 void Run() {
   uint64_t events_n = ScaledEvents(kEvents);
   auto events = LoadDataset(Dataset::kWc98, events_n);
@@ -404,6 +428,10 @@ void Run() {
       "(estimates/second)",
       {"path", "rate"});
   PrintRow({"indexed", FormatDouble(MeasureRwEstimate(kQ), 0)});
+
+  PrintHeader("Dyadic stack adds over 17-bit keys (events/second)",
+              {"stack", "rate"});
+  PrintRow({"exact top levels", FormatDouble(MeasureDyadicAdd(events), 0)});
 
   PrintHeader("Dyadic heavy-hitter sweeps over 16-bit keys (sweeps/second)",
               {"descent", "rate"});

@@ -5,10 +5,12 @@
 // fraction since the last push. The coordinator answers a global point
 // query from the freshest snapshot of every site, without merging them:
 // it sums the sites' cell estimates per row and takes the min over rows
-// (EcmSketch::SumPointQueryAt), at the latest snapshot clock, which keeps
-// Theorem 1's single-sketch bound eps_cm + eps_sw + eps_cm * eps_sw. Its
-// view lags each site by at most one trigger interval (the
-// bandwidth/freshness trade-off the structure exists for).
+// (EcmSketch::SumPointQueryAt), at the run's clock, which keeps Theorem
+// 1's single-sketch bound eps_cm + eps_sw + eps_cm * eps_sw. Its view
+// lags each site by at most one trigger interval (the
+// bandwidth/freshness trade-off the structure exists for): arrivals since
+// a site's last push are missing, while arrivals that expired since then
+// are already gone.
 //
 // Built on the shared runtime substrate: the sites, their channels and
 // the transport belong to a runtime Coordinator, and a push is
@@ -109,17 +111,18 @@ class PeriodicAggregatorT {
   }
 
   /// Point query against the coordinator's (possibly stale) snapshots,
-  /// at the latest snapshot clock. Fails while any site has never
-  /// pushed, or when a site's last ship failed.
+  /// evaluated at the run's clock (the latest live site clock, never
+  /// behind any snapshot), so arrivals that left the window since a
+  /// site's last push no longer count. Call it once ingest has quiesced.
+  /// Fails while any site has never pushed, or when a site's last ship
+  /// failed.
   Result<double> GlobalPointQuery(uint64_t key, uint64_t range) const {
     std::vector<const EcmSketch<Counter>*> snapshots;
-    Timestamp now = 0;
     for (const Trigger& tr : triggers_) {
       if (!tr.received.ok()) return tr.received.status();
       snapshots.push_back(*tr.received);
-      now = std::max(now, (*tr.received)->Now());
     }
-    return EcmSketch<Counter>::SumPointQueryAt(snapshots, key, range, now);
+    return EcmSketch<Counter>::SumPointQueryAt(snapshots, key, range, clock());
   }
 
   /// Aggregated counters (per-site tallies summed on demand). The

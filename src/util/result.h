@@ -85,11 +85,17 @@ T UnwrapCompatible(Result<T> r, const char* context) {
   return r.MoveValue();
 }
 
+#define ECM_CONCAT_INNER(a, b) a##b
+#define ECM_CONCAT(a, b) ECM_CONCAT_INNER(a, b)
+
 /// Propagates the error of a Result expression, or assigns its value.
-#define ECM_ASSIGN_OR_RETURN(lhs, expr)         \
-  auto _res_##__LINE__ = (expr);                \
-  if (!_res_##__LINE__.ok()) return _res_##__LINE__.status(); \
-  lhs = std::move(*_res_##__LINE__)
+/// The temporary is named per line, so one scope may use it repeatedly.
+#define ECM_ASSIGN_OR_RETURN(lhs, expr) \
+  ECM_ASSIGN_OR_RETURN_IMPL(ECM_CONCAT(_res_, __LINE__), lhs, expr)
+#define ECM_ASSIGN_OR_RETURN_IMPL(res, lhs, expr) \
+  auto res = (expr);                              \
+  if (!res.ok()) return res.status();             \
+  lhs = std::move(*res)
 
 }  // namespace ecm
 

@@ -1,14 +1,19 @@
 // Property tests for the dyadic stack beyond the basics of
 // dyadic_test.cc: range-sum additivity, quantile monotonicity and
-// inverse consistency on skewed key distributions, and window-sliding
-// behaviour of ranges.
+// inverse consistency on skewed key distributions, window-sliding
+// behaviour of ranges, and the paper's bounds (Theorem 5 completeness,
+// the decomposition's additive range error) on a stack with exact top
+// levels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <set>
 
 #include "src/core/dyadic.h"
 #include "src/stream/generators.h"
+#include "src/util/random.h"
 
 namespace ecm {
 namespace {
@@ -108,6 +113,93 @@ TEST(DyadicWindowTest, HeavyHittersEstimatesAreSelfConsistent) {
   for (const auto& h : hitters) keys.push_back(h.key);
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+}
+
+
+// A 17-bit Zipf trace: heavy ranks scattered over the domain by an odd
+// multiplier (a bijection mod 2^17), so heavy keys sit under different
+// top-level prefixes.
+constexpr int kWideBits = 17;
+constexpr uint64_t kWideWindow = 40'000;
+
+std::vector<StreamEvent> WideZipfTrace(uint64_t seed) {
+  ZipfStream::Config zc;
+  zc.domain = (1u << kWideBits) - 1;
+  zc.skew = 1.2;
+  zc.seed = seed;
+  auto events = ZipfStream(zc).Take(60'000);
+  for (auto& e : events) {
+    e.key = (e.key * 0x9E3779B1ULL) & ((1u << kWideBits) - 1);
+  }
+  return events;
+}
+
+EcmConfig WideConfig(double epsilon, uint64_t seed) {
+  auto cfg = EcmConfig::Create(epsilon, 0.05, WindowMode::kTimeBased,
+                               kWideWindow, seed);
+  EXPECT_TRUE(cfg.ok());
+  return *cfg;
+}
+
+TEST(DyadicBoundTest, Theorem5ReportsEveryHeavyKey) {
+  constexpr double kEpsilon = 0.02;
+  const EcmConfig cfg = WideConfig(kEpsilon, 29);
+  DyadicEcm<ExponentialHistogram> dyadic(kWideBits, cfg);
+  ASSERT_LT(dyadic.sketch_levels(), kWideBits);  // exact levels in play
+  const auto events = WideZipfTrace(31);
+  for (const auto& e : events) dyadic.Add(e.key, e.ts);
+  const Timestamp now = events.back().ts;
+  const auto exact = ComputeExactRangeStats(events, now, kWideWindow);
+  for (double phi : {0.005, 0.01, 0.03}) {
+    std::set<uint64_t> found;
+    for (const auto& h : dyadic.HeavyHitters(phi, kWideWindow)) {
+      found.insert(h.key);
+    }
+    int heavy = 0;
+    for (const auto& [key, count] : exact.freqs) {
+      if (static_cast<double>(count) <
+          (phi + kEpsilon) * static_cast<double>(exact.l1)) {
+        continue;
+      }
+      ++heavy;
+      EXPECT_TRUE(found.count(key)) << "phi " << phi << " key " << key
+                                    << " count " << count;
+    }
+    EXPECT_GT(heavy, 0) << "phi " << phi;
+  }
+}
+
+TEST(DyadicBoundTest, RangeQueryWithinDecompositionBound) {
+  const EcmConfig cfg = WideConfig(0.05, 37);
+  DyadicEcm<ExponentialHistogram> dyadic(kWideBits, cfg);
+  ASSERT_LT(dyadic.sketch_levels(), kWideBits);
+  const auto events = WideZipfTrace(41);
+  for (const auto& e : events) dyadic.Add(e.key, e.ts);
+  const Timestamp now = events.back().ts;
+  const auto exact = ComputeExactRangeStats(events, now, kWideWindow);
+  const double l1 = static_cast<double>(exact.l1);
+  // Each dyadic range with true count c contributes at most ε_sw·c of
+  // window error, plus (1 + ε_sw)·ε_cm·‖a_r‖₁ of collisions on a sketch
+  // level (w.h.p.); exact levels have no collisions.
+  Rng rng(43);
+  for (int trial = 0; trial < 300; ++trial) {
+    uint64_t lo = rng.Uniform(1u << kWideBits);
+    uint64_t hi = lo + rng.Uniform((1u << kWideBits) - lo);
+    double truth = 0.0;
+    for (const auto& [key, count] : exact.freqs) {
+      if (key >= lo && key <= hi) truth += static_cast<double>(count);
+    }
+    int sketch_ranges = 0;
+    for (const DyadicRange& r : DyadicDecompose(lo, hi, kWideBits)) {
+      if (r.level < dyadic.sketch_levels()) ++sketch_ranges;
+    }
+    const double bound =
+        cfg.epsilon_sw * truth +
+        sketch_ranges * (1.0 + cfg.epsilon_sw) * cfg.epsilon_cm * l1;
+    const double est = dyadic.RangeQuery(lo, hi, kWideWindow);
+    EXPECT_LE(std::abs(est - truth), bound + 1e-9)
+        << "[" << lo << "," << hi << "] truth " << truth;
+  }
 }
 
 }  // namespace

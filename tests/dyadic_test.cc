@@ -187,13 +187,21 @@ TEST_F(DyadicEcmTest, QuantileOnPointMass) {
 }
 
 TEST_F(DyadicEcmTest, MemoryScalesWithDomainBits) {
-  auto small = DyadicEcm<ExponentialHistogram>::Create(
-      8, 0.1, 0.1, WindowMode::kTimeBased, 1000, 1);
-  auto large = DyadicEcm<ExponentialHistogram>::Create(
-      16, 0.1, 0.1, WindowMode::kTimeBased, 1000, 1);
-  ASSERT_TRUE(small.ok() && large.ok());
-  EXPECT_GT(large->MemoryBytes(), small->MemoryBytes());
-  EXPECT_LT(large->MemoryBytes(), small->MemoryBytes() * 3);
+  auto cfg = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, 1000, 1);
+  ASSERT_TRUE(cfg.ok());
+  const size_t sketch_bytes = EcmEh(*cfg).MemoryBytes();
+  DyadicEcm<ExponentialHistogram> small(8, *cfg);
+  DyadicEcm<ExponentialHistogram> large(16, *cfg);
+  DyadicEcm<ExponentialHistogram> larger(17, *cfg);
+  EXPECT_GT(large.MemoryBytes(), small.MemoryBytes());
+  // Past the exact-level cutoff, each further key bit adds one sketch
+  // level and keeps the exact-level counter count, so memory grows
+  // linearly in domain_bits, one sketch per bit.
+  EXPECT_EQ(larger.sketch_levels(), large.sketch_levels() + 1);
+  EXPECT_EQ(larger.MemoryBytes() - large.MemoryBytes(), sketch_bytes);
+  // Never more than an all-sketch stack.
+  EXPECT_LT(small.MemoryBytes(), 8 * sketch_bytes);
+  EXPECT_LT(large.MemoryBytes(), 16 * sketch_bytes);
 }
 
 TEST(DyadicEcmCreateTest, RejectsBadDomainBits) {
@@ -203,6 +211,86 @@ TEST(DyadicEcmCreateTest, RejectsBadDomainBits) {
   auto d2 = DyadicEcm<ExponentialHistogram>::Create(
       64, 0.1, 0.1, WindowMode::kTimeBased, 1000, 1);
   EXPECT_FALSE(d2.ok());
+}
+
+// The e2ebench query stack's shape: ε = 0.1, δ = 0.01 gives 56 × 5.
+EcmConfig Config56x5(WindowMode mode, uint64_t window) {
+  auto cfg = EcmConfig::Create(0.1, 0.01, mode, window, 7);
+  EXPECT_TRUE(cfg.ok());
+  EXPECT_EQ(cfg->width, 56u);
+  EXPECT_EQ(cfg->depth, 5);
+  return *cfg;
+}
+
+TEST(DyadicExactLevelsTest, CutoffAt17BitsAnd56x5) {
+  const EcmConfig cfg = Config56x5(WindowMode::kTimeBased, 100'000);
+  DyadicEcm<ExponentialHistogram> dyadic(17, cfg);
+  // Level i holds 2^(17 - i) prefixes: 256 <= 280 cells from level 9 on.
+  EXPECT_EQ(dyadic.sketch_levels(), 9);
+  // The all-sketch stack: one sketch per level, fed the same prefixes.
+  std::vector<EcmSketch<ExponentialHistogram>> all_sketch(17, EcmEh(cfg));
+  Rng rng(3);
+  for (Timestamp t = 1; t <= 20'000; ++t) {
+    const uint64_t key = rng.Uniform(1u << 17);
+    dyadic.Add(key, t);
+    for (int i = 0; i < 17; ++i) all_sketch[i].Add(key >> i, t);
+  }
+  size_t all_sketch_bytes = 0;
+  for (const auto& s : all_sketch) all_sketch_bytes += s.MemoryBytes();
+  EXPECT_LT(dyadic.MemoryBytes(), all_sketch_bytes);
+  // Exact top levels count each prefix exactly up to ε_sw; the top pair
+  // splits the 20k arrivals between the two halves of the domain.
+  const double low = dyadic.RangeQuery(0, (1u << 16) - 1, 100'000);
+  const double high = dyadic.RangeQuery(1u << 16, (1u << 17) - 1, 100'000);
+  EXPECT_NEAR(low + high, 20'000.0, 20'000.0 * cfg.epsilon_sw);
+}
+
+TEST(DyadicExactLevelsTest, EveryLevelAboveZeroExact) {
+  // 8 bits: level 1 has 128 prefixes, within 280 cells.
+  DyadicEcm<ExponentialHistogram> dyadic(
+      8, Config56x5(WindowMode::kTimeBased, 1'000));
+  EXPECT_EQ(dyadic.sketch_levels(), 1);
+  for (Timestamp t = 1; t <= 500; ++t) dyadic.Add(t % 256, t);
+  EXPECT_EQ(dyadic.level(0).Now(), 500u);
+  // Every multi-key range reads exact levels only, with ε_sw error.
+  EXPECT_NEAR(dyadic.RangeQuery(0, 255, 1'000), 500.0, 50.0);
+  EXPECT_NEAR(dyadic.RangeQuery(0, 127, 1'000), 255.0, 26.0);
+  // A key outside the domain lies in no prefix: the exact levels skip it.
+  for (Timestamp t = 501; t <= 600; ++t) dyadic.Add(1'000 + t, t);
+  EXPECT_NEAR(dyadic.RangeQuery(0, 255, 1'000), 500.0, 50.0);
+}
+
+TEST(DyadicExactLevelsTest, NoExactLevels) {
+  // One bit: level 0 only. A 1 × 1 sketch: even the top pair of
+  // prefixes does not fit.
+  DyadicEcm<ExponentialHistogram> one_bit(
+      1, Config56x5(WindowMode::kTimeBased, 1'000));
+  EXPECT_EQ(one_bit.sketch_levels(), 1);
+  EcmConfig tiny = Config56x5(WindowMode::kTimeBased, 1'000);
+  tiny.width = 1;
+  tiny.depth = 1;
+  DyadicEcm<ExponentialHistogram> dyadic(6, tiny);
+  EXPECT_EQ(dyadic.sketch_levels(), 6);
+  for (Timestamp t = 1; t <= 100; ++t) dyadic.Add(t % 64, t);
+  // Every range collides into the one cell of each level it reads.
+  EXPECT_NEAR(dyadic.RangeQuery(32, 63, 1'000), 100.0, 10.0);
+}
+
+TEST(DyadicExactLevelsTest, CountBasedRangeQueryOnExactLevel) {
+  // Count-based: exact counters are keyed by the arrival index, not by
+  // the (here constant) timestamp.
+  DyadicEcm<ExponentialHistogram> dyadic(
+      8, Config56x5(WindowMode::kCountBased, 4'000));
+  ASSERT_EQ(dyadic.sketch_levels(), 1);
+  for (int i = 0; i < 2'000; ++i) dyadic.Add(5, 1);
+  for (int i = 0; i < 1'000; ++i) dyadic.Add(200, 1);
+  EXPECT_EQ(dyadic.level(0).Now(), 3'000u);
+  // The last 1500 arrivals: 500 of key 5, 1000 of key 200. Each range is
+  // one exact level-7 prefix.
+  ASSERT_EQ(DyadicDecompose(0, 127, 8).size(), 1u);
+  EXPECT_NEAR(dyadic.RangeQuery(0, 127, 1'500), 500.0, 50.0);
+  EXPECT_NEAR(dyadic.RangeQuery(128, 255, 1'500), 1'000.0, 100.0);
+  EXPECT_NEAR(dyadic.RangeQuery(0, 127, 4'000), 2'000.0, 200.0);
 }
 
 }  // namespace

@@ -111,6 +111,31 @@ TEST(PeriodicAggregatorTest, StalenessBoundedByPeriod) {
   EXPECT_NEAR(*fresh, 1'000.0, 100.0);
 }
 
+TEST(PeriodicAggregatorTest, QuietSiteArrivalsExpireAtTheRunClock) {
+  // Site 0 goes quiet after its snapshot; site 1 runs on past the window
+  // but pushed only once, early. Both snapshot clocks lag the run by more
+  // than a window, so only the run's clock expires site 0's arrivals.
+  PeriodicAggregator agg(2, SketchCfg(), {});
+  for (Timestamp t = 1; t <= 1'000; ++t) agg.Process(0, 7, t);
+  ASSERT_TRUE(agg.SyncAll().ok());
+  auto live = agg.GlobalPointQuery(7, kWindow);
+  ASSERT_TRUE(live.ok());
+  EXPECT_NEAR(*live, 1'000.0, 100.0);
+  for (Timestamp t = 2'000; t <= 2 * kWindow; t += 10) agg.Process(1, 8, t);
+  ASSERT_EQ(agg.clock(), 2 * kWindow);
+  auto expired = agg.GlobalPointQuery(7, kWindow);
+  ASSERT_TRUE(expired.ok()) << expired.status();
+  EXPECT_EQ(*expired, 0.0);
+  // Site 1's unpushed arrivals are still missing until it pushes.
+  auto stale = agg.GlobalPointQuery(8, kWindow);
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(*stale, 0.0);
+  ASSERT_TRUE(agg.SyncAll().ok());
+  auto fresh = agg.GlobalPointQuery(8, kWindow);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_NEAR(*fresh, static_cast<double>(kWindow / 10), kWindow / 100.0);
+}
+
 TEST(PeriodicAggregatorTest, BandwidthFreshnessTradeoff) {
   // Smaller drift budgets cost more pushes; both configurations answer
   // queries, the tighter one fresher.

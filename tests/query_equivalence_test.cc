@@ -312,14 +312,20 @@ TEST(QueryEquivalenceTest, EstimateL1LruCoversInterleavedRanges) {
   EXPECT_EQ(cached, recomputed / cfg.depth);
 }
 
-// Reference recursive per-node descent (the pre-PR4 implementation),
-// rebuilt on the public API.
+// The range query of one aligned dyadic block: it decomposes to that one
+// (level, prefix), so it reads exactly the estimate the descent reads.
+template <typename Counter>
+double BlockQuery(const DyadicEcm<Counter>& dy, int level, uint64_t prefix,
+                  uint64_t range) {
+  return dy.RangeQuery(prefix << level, ((prefix + 1) << level) - 1, range);
+}
+
+// Reference recursive per-node descent, on the public API.
 template <typename Counter>
 void DescendReference(const DyadicEcm<Counter>& dy, int level,
                       uint64_t prefix, double threshold, uint64_t range,
                       std::vector<HeavyHitter>* out) {
-  const auto& sketch = dy.level(level);
-  double est = sketch.PointQueryAt(prefix, range, sketch.Now());
+  double est = BlockQuery(dy, level, prefix, range);
   if (est < threshold) return;
   if (level == 0) {
     out->push_back(HeavyHitter{prefix, est});
@@ -369,8 +375,7 @@ TEST(QueryEquivalenceTest, RangeQueryMatchesPerRangeSum) {
     uint64_t hi = lo + rng.Uniform(1000);
     double ref = 0.0;
     for (const DyadicRange& r : DyadicDecompose(lo, hi, dy->domain_bits())) {
-      const auto& sketch = dy->level(r.level);
-      ref += sketch.PointQueryAt(r.prefix, kWindow, sketch.Now());
+      ref += BlockQuery(*dy, r.level, r.prefix, kWindow);
     }
     // The grouped-by-level batch sums in a different order; allow FP
     // reassociation noise only.

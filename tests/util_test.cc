@@ -63,6 +63,27 @@ TEST(ResultTest, MoveValueTransfersOwnership) {
   EXPECT_EQ(v.size(), 3u);
 }
 
+Result<int> SumOfTwo(Result<int> a, Result<int> b) {
+  int x = 0;
+  int y = 0;
+  ECM_ASSIGN_OR_RETURN(x, a);
+  ECM_ASSIGN_OR_RETURN(y, b);
+  return x + y;
+}
+
+TEST(ResultTest, AssignOrReturnMacroTwiceInOneScope) {
+  auto sum = SumOfTwo(2, 3);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(*sum, 5);
+  // The second use's error propagates.
+  auto failed = SumOfTwo(2, Status::OutOfRange("second"));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(failed.status().message(), "second");
+  EXPECT_EQ(SumOfTwo(Status::Internal("first"), 3).status().code(),
+            StatusCode::kInternal);
+}
+
 TEST(HashTest, Mix64IsBijectiveOnSamples) {
   std::set<uint64_t> seen;
   for (uint64_t i = 0; i < 10000; ++i) seen.insert(Mix64(i));
