@@ -7,8 +7,9 @@
 //  * the SIMD hash kernels per instruction-set tier;
 //  * SelfJoin and EstimateL1 (batched single-estimate-per-cell path);
 //  * RandomizedWave::Estimate at large retained-run counts;
-//  * dyadic stack adds (exact top levels) and heavy-hitter sweeps
-//    (batched frontier descent).
+//  * dyadic stack adds (exact top levels), the same stack behind a
+//    StreamEngine (one synopsis: the stack's level 0 is the engine's
+//    sketch), and heavy-hitter sweeps (batched frontier descent).
 //
 // Run with `--json BENCH_prN.json` for the machine-readable rows of the
 // perf-trajectory baseline (BENCH_pr4.json is the first query-side one);
@@ -22,6 +23,7 @@
 
 #include "bench/bench_common.h"
 #include "src/core/dyadic.h"
+#include "src/engine/continuous.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
 #include "src/util/simd_kernels.h"
@@ -341,6 +343,33 @@ double MeasureDyadicAdd(const std::vector<StreamEvent>& events) {
   return rate;
 }
 
+// The same stack shape behind a StreamEngine (no watches, no keyed
+// store). The engine keeps one synopsis, the stack, whose level 0 is its
+// sketch, so its bytes sit one stack object above the dyadic-add row's,
+// not one sketch. Rate is events/s; bytes is the engine's MemoryBytes.
+double MeasureEngineAdd(const std::vector<StreamEvent>& events) {
+  constexpr int kDomainBits = 17;
+  auto cfg = EcmConfig::Create(kEpsilon, /*delta=*/0.01,
+                               WindowMode::kTimeBased, kWindow, /*seed=*/7);
+  if (!cfg.ok()) {
+    std::fprintf(stderr, "engine config: %s\n",
+                 cfg.status().ToString().c_str());
+    return 0.0;
+  }
+  StreamEngine::Options opts;
+  opts.sketch = *cfg;
+  opts.domain_bits = kDomainBits;
+  StreamEngine engine(opts);
+  const uint64_t mask = (1ULL << kDomainBits) - 1;
+  Timer timer;
+  for (const StreamEvent& e : events) engine.Ingest(e.key & mask, e.ts);
+  const double rate =
+      static_cast<double>(events.size()) / timer.ElapsedSeconds();
+  RecordBenchResult("query/engine-add/ENGINE-EH", rate,
+                    static_cast<double>(engine.MemoryBytes()));
+  return rate;
+}
+
 void Run() {
   uint64_t events_n = ScaledEvents(kEvents);
   auto events = LoadDataset(Dataset::kWc98, events_n);
@@ -432,6 +461,7 @@ void Run() {
   PrintHeader("Dyadic stack adds over 17-bit keys (events/second)",
               {"stack", "rate"});
   PrintRow({"exact top levels", FormatDouble(MeasureDyadicAdd(events), 0)});
+  PrintRow({"stream engine", FormatDouble(MeasureEngineAdd(events), 0)});
 
   PrintHeader("Dyadic heavy-hitter sweeps over 16-bit keys (sweeps/second)",
               {"descent", "rate"});

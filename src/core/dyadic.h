@@ -13,6 +13,12 @@
 // ‖a_r‖₁ from sketch CM₀ itself (average of per-row counter sums) rather
 // than a separate synopsis — implemented in EcmSketch::EstimateL1.
 //
+// Level 0 is the stream's own sketch: it is built from the config
+// unchanged, seed included, so it is exactly the EcmSketch(config) a
+// stack-less user would keep, and a StreamEngine with a key domain holds
+// no second sketch beside it. Levels ≥ 1 (and the exact levels' per-prefix
+// randomness) derive their seeds from the config's via LevelSeed.
+//
 // Exact top levels. Level i holds only 2^(domain_bits − i) prefixes.
 // Level i ≥ 1 whose prefix domain fits in one sketch's width × depth
 // cells is kept exact: one window counter per prefix instead of an
@@ -73,9 +79,10 @@ template <SlidingWindowCounter Counter = ExponentialHistogram>
 class DyadicEcm {
  public:
   /// \param domain_bits  keys live in [0, 2^domain_bits)
-  /// \param config       configuration shared by all levels (the
-  ///                     per-level hash seeds are derived from it); its
-  ///                     width × depth also sets the first exact level
+  /// \param config       configuration shared by all levels: level 0
+  ///                     uses it as is, levels ≥ 1 derive their hash
+  ///                     seeds from it; its width × depth also sets the
+  ///                     first exact level
   DyadicEcm(int domain_bits, const EcmConfig& config)
       : sketch_levels_(domain_bits), domain_bits_(domain_bits) {
     const uint64_t cells = static_cast<uint64_t>(config.width) * config.depth;
@@ -86,7 +93,8 @@ class DyadicEcm {
       }
     }
     levels_.reserve(sketch_levels_);
-    for (int i = 0; i < sketch_levels_; ++i) {
+    levels_.emplace_back(config);
+    for (int i = 1; i < sketch_levels_; ++i) {
       EcmConfig level_cfg = config;
       level_cfg.seed = LevelSeed(config, i);
       levels_.emplace_back(level_cfg);
@@ -280,10 +288,9 @@ class DyadicEcm {
   }
 
   /// The exact-level half of Add, kept out of line so the callers that
-  /// inline Add (Site::Ingest, on sketch-only sites too) carry one call
-  /// rather than the exact-level loop. The clock is level 0's: the
-  /// arrival's tick, or in count-based mode the stack's global arrival
-  /// index, as EcmSketch::Add keys its cells.
+  /// inline Add carry one call rather than the exact-level loop. The
+  /// clock is level 0's: the arrival's tick, or in count-based mode the
+  /// stack's global arrival index, as EcmSketch::Add keys its cells.
   [[gnu::noinline]] void AddExact(uint64_t key, uint64_t count) {
     if (key >> domain_bits_ != 0) return;
     const Timestamp now = levels_[0].Now();

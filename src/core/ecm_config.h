@@ -54,8 +54,8 @@ struct EcmConfig {
   uint32_t width = 0;               ///< w = ceil(e / ε_cm)
   int depth = 0;                    ///< d = ceil(ln(1 / δ_cm))
   uint64_t seed = 0xEC35EEDULL;     ///< hash seed; equal seeds ⇒ mergeable
-  /// Bucket-reduction version. Changing it re-maps every key, so it is
-  /// part of sketch compatibility and of the serialized config.
+  /// Bucket-reduction version, recorded in the serialized config. The
+  /// library implements one reduction, so every config holds kFastRange.
   HashReduction hash_reduction = HashReduction::kFastRange;
 
   /// Computes the optimal split and array dimensions for a total (ε, δ)
@@ -71,7 +71,7 @@ struct EcmConfig {
   bool CompatibleWith(const EcmConfig& other) const {
     return mode == other.mode && window_len == other.window_len &&
            width == other.width && depth == other.depth &&
-           seed == other.seed && hash_reduction == other.hash_reduction;
+           seed == other.seed;
   }
 
   bool operator==(const EcmConfig&) const = default;

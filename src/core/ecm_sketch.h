@@ -115,8 +115,7 @@ class EcmSketch {
   /// built from compatible configs (same dimensions/seed/window/mode).
   explicit EcmSketch(const EcmConfig& config)
       : config_(config),
-        hashes_(config.seed, std::min(config.depth, kMaxSketchDepth),
-                config.hash_reduction) {
+        hashes_(config.seed, std::min(config.depth, kMaxSketchDepth)) {
     assert(config.width > 0 && config.depth > 0 &&
            config.depth <= kMaxSketchDepth);
     // Defense in depth for hand-built configs: the one-pass update path

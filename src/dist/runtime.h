@@ -4,9 +4,9 @@
 // the aggregation tree is its AggregateUp view.
 //
 //  * Site<Counter>      — one observation point (dist/site.h): a
-//    counter-generic EcmSketch plus an optional dyadic stack, with
-//    per-arrival and batched ingest. Exactly one ParallelIngest worker
-//    ever touches a site, so sites need no locks.
+//    counter-generic EcmSketch with per-arrival and batched ingest.
+//    Exactly one ParallelIngest worker ever touches a site, so sites
+//    need no locks.
 //  * Coordinator<Counter> — owns the sites, one compression channel per
 //    site, and the global views: flat collect-and-merge (§5.3) and
 //    balanced-tree aggregation (§5.1), both shipping through the
@@ -59,8 +59,7 @@ class Coordinator {
  public:
   Coordinator(int num_sites, const EcmConfig& config,
               Transport* transport = nullptr,
-              const CompressionOptions& compression = {CompressionMode::kFull},
-              const typename Site<Counter>::Options& site_options = {})
+              const CompressionOptions& compression = {CompressionMode::kFull})
       : config_(config), transport_(transport) {
     if (!transport_) {
       owned_transport_ = std::make_unique<LoopbackTransport>();
@@ -69,7 +68,7 @@ class Coordinator {
     sites_.reserve(static_cast<size_t>(num_sites));
     channels_.reserve(static_cast<size_t>(num_sites));
     for (int i = 0; i < num_sites; ++i) {
-      sites_.emplace_back(i, config_, site_options);
+      sites_.emplace_back(i, config_);
       channels_.emplace_back(compression);
     }
   }

@@ -10,7 +10,9 @@ constexpr uint8_t kConfigMagic[4] = {'E', 'C', 'M', 'C'};
 // Config wire version. v2 added the explicit version byte itself and the
 // hash-reduction field (the fast-range bucket mapping re-maps every key,
 // so decoding a v1 sketch with v2 code would silently answer queries from
-// the wrong buckets — stale encodings must be rejected, not misread).
+// the wrong buckets — stale encodings must be rejected, not misread). The
+// field accepts only kFastRange (2); the retired modulo mapping's 1 is
+// rejected the same way.
 constexpr uint8_t kConfigWireVersion = 2;
 
 // Upper bounds accepted from the wire. Real configs are far below these
@@ -112,11 +114,9 @@ Result<EcmConfig> DeserializeEcmConfig(ByteReader* r) {
   EcmConfig cfg;
   auto reduction = r->GetFixed<uint8_t>();
   if (!reduction.ok()) return reduction.status();
-  if (*reduction != static_cast<uint8_t>(HashReduction::kModulo) &&
-      *reduction != static_cast<uint8_t>(HashReduction::kFastRange)) {
+  if (*reduction != static_cast<uint8_t>(HashReduction::kFastRange)) {
     return Status::Corruption("config: unknown hash reduction");
   }
-  cfg.hash_reduction = static_cast<HashReduction>(*reduction);
   auto mode = r->GetFixed<uint8_t>();
   if (!mode.ok()) return mode.status();
   if (*mode > static_cast<uint8_t>(WindowMode::kCountBased)) {

@@ -1,48 +1,35 @@
 // One observation point of a distributed run (§5–§6): a counter-generic
-// EcmSketch of the site's local stream plus, when a key domain is
-// declared, a dyadic stack for heavy-hitter / range / quantile queries.
+// EcmSketch of the site's local stream, the synopsis a site ships to its
+// coordinator. Range, quantile and heavy-hitter queries over one stream
+// live in StreamEngine (engine/continuous.h), whose dyadic stack's level
+// 0 is that stream's sketch.
 //
-// This header is deliberately slim: single-site users (StreamEngine, the
-// examples' local paths) get the Site abstraction without pulling in the
-// multi-threaded ingest driver, wire serialization or the aggregation
-// tree — those live in dist/runtime.h, which builds on this file.
-// Exactly one ParallelIngest worker ever touches a site, so sites need
-// no locks.
+// This header is deliberately slim: it carries no multi-threaded ingest
+// driver, wire serialization or aggregation tree — those live in
+// dist/runtime.h, which builds on this file. Exactly one ParallelIngest
+// worker ever touches a site, so sites need no locks.
 
 #ifndef ECM_DIST_SITE_H_
 #define ECM_DIST_SITE_H_
 
 #include <cstdint>
-#include <optional>
 
-#include "src/core/dyadic.h"
 #include "src/core/ecm_sketch.h"
 #include "src/dist/transport.h"
 #include "src/stream/event.h"
 
 namespace ecm {
 
-/// One observation point of a distributed run: a local ECM-sketch of the
-/// site's stream and, when a key domain is declared, a dyadic stack for
-/// heavy-hitter / range / quantile queries over it.
+/// One observation point of a distributed run: an id, a local
+/// ECM-sketch of the site's stream and the count of arrivals it took.
 template <SlidingWindowCounter Counter>
 class Site {
  public:
-  struct Options {
-    int domain_bits = 0;  ///< > 0 attaches a DyadicEcm over 2^bits keys
-  };
-
-  Site(NodeId id, const EcmConfig& config, const Options& options = {})
-      : id_(id), sketch_(config) {
-    if (options.domain_bits > 0) {
-      dyadic_.emplace(options.domain_bits, config);
-    }
-  }
+  Site(NodeId id, const EcmConfig& config) : id_(id), sketch_(config) {}
 
   /// Registers one arrival at this site.
   void Ingest(uint64_t key, Timestamp ts, uint64_t count = 1) {
     sketch_.Add(key, ts, count);
-    if (dyadic_) dyadic_->Add(key, ts, count);
     ++updates_;
   }
 
@@ -59,14 +46,10 @@ class Site {
 
   const EcmSketch<Counter>& sketch() const { return sketch_; }
   EcmSketch<Counter>& mutable_sketch() { return sketch_; }
-  const DyadicEcm<Counter>* dyadic() const {
-    return dyadic_ ? &*dyadic_ : nullptr;
-  }
 
  private:
   NodeId id_;
   EcmSketch<Counter> sketch_;
-  std::optional<DyadicEcm<Counter>> dyadic_;
   uint64_t updates_ = 0;
 };
 

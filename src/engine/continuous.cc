@@ -4,10 +4,14 @@
 
 namespace ecm {
 
-StreamEngine::StreamEngine(const Options& options)
-    : options_(options),
-      site_(/*id=*/0, options.sketch,
-            Site<ExponentialHistogram>::Options{options.domain_bits}) {
+StreamEngine::StreamEngine(const Options& options) : options_(options) {
+  if (options_.domain_bits > 0) {
+    dyadic_ = std::make_unique<DyadicEcm<ExponentialHistogram>>(
+        options_.domain_bits, options_.sketch);
+  } else {
+    sketch_ = std::make_unique<EcmSketch<ExponentialHistogram>>(
+        options_.sketch);
+  }
   if (options_.evaluate_every == 0) options_.evaluate_every = 1;
 }
 
@@ -39,7 +43,7 @@ QueryId StreamEngine::WatchSelfJoin(
 Result<QueryId> StreamEngine::WatchHeavyHitters(
     double phi_ratio, uint64_t range, uint64_t period,
     std::function<void(const HeavyHitterReport&)> callback) {
-  if (!site_.dyadic()) {
+  if (!dyadic_) {
     return Status::InvalidArgument(
         "heavy-hitter queries need domain_bits > 0 at engine construction");
   }
@@ -73,7 +77,7 @@ bool StreamEngine::Unwatch(QueryId id) {
 
 void StreamEngine::EvaluatePoint(PointWatch* watch, Timestamp ts) {
   ++stats_.point_evaluations;
-  double est = site_.sketch().PointQuery(watch->key, watch->range);
+  double est = sketch().PointQuery(watch->key, watch->range);
   bool above = est >= watch->threshold;
   if (above != watch->above) {
     watch->above = above;
@@ -87,7 +91,7 @@ void StreamEngine::EvaluatePoint(PointWatch* watch, Timestamp ts) {
 void StreamEngine::EvaluateSelfJoins(Timestamp ts) {
   for (auto& watch : selfjoin_watches_) {
     ++stats_.selfjoin_evaluations;
-    double est = site_.sketch().SelfJoin(watch.range);
+    double est = sketch().SelfJoin(watch.range);
     bool above = est >= watch.threshold;
     if (above != watch.above) {
       watch.above = above;
@@ -107,21 +111,24 @@ void StreamEngine::EvaluateHitters(Timestamp ts) {
     HeavyHitterReport report;
     report.query = watch.id;
     report.ts = ts;
-    report.window_l1 = site_.dyadic()->EstimateL1(watch.range);
-    report.hitters = site_.dyadic()->HeavyHitters(watch.phi_ratio, watch.range);
+    report.window_l1 = dyadic_->EstimateL1(watch.range);
+    report.hitters = dyadic_->HeavyHitters(watch.phi_ratio, watch.range);
     if (watch.callback) watch.callback(report);
   }
 }
 
 KeyedCounterStore* StreamEngine::EnableKeyedStore(
     const KeyedStoreConfig& config) {
-  keyed_store_ =
-      std::make_unique<KeyedCounterStore>(config, &site_.sketch());
+  keyed_store_ = std::make_unique<KeyedCounterStore>(config, &sketch());
   return keyed_store_.get();
 }
 
 void StreamEngine::Ingest(uint64_t key, Timestamp ts, uint64_t count) {
-  site_.Ingest(key, ts, count);
+  if (dyadic_) {
+    dyadic_->Add(key, ts, count);
+  } else {
+    sketch_->Add(key, ts, count);
+  }
   // The store sees each arrival after the sketch so its admission check
   // includes the current event (the store's documented contract).
   if (keyed_store_) keyed_store_->Add(key, ts, count);
@@ -150,8 +157,8 @@ void StreamEngine::IngestBatch(const StreamEvent* events, size_t n) {
 }
 
 size_t StreamEngine::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + site_.sketch().MemoryBytes();
-  if (site_.dyadic()) bytes += site_.dyadic()->MemoryBytes();
+  size_t bytes = sizeof(*this) +
+                 (dyadic_ ? dyadic_->MemoryBytes() : sketch_->MemoryBytes());
   if (keyed_store_) bytes += keyed_store_->MemoryBytes();
   return bytes;
 }

@@ -1,9 +1,9 @@
 // Continuous-query engine over a single high-dimensional stream: the
 // "local site" runtime of the paper's monitoring scenarios (§1, §6).
 //
-// A StreamEngine owns an ECM-sketch (and, when a key-domain is declared,
-// a dyadic stack) and evaluates registered standing queries as the stream
-// flows:
+// A StreamEngine owns one synopsis of its stream — an ECM-sketch, or, when
+// a key domain is declared, a dyadic stack whose level 0 is that sketch
+// (§6.1) — and evaluates registered standing queries as the stream flows:
 //
 //  * point-threshold   — fire when a key's sliding-window count crosses T
 //                        (the §1 DDoS trigger, evaluated per arrival of
@@ -23,12 +23,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/core/dyadic.h"
 #include "src/core/ecm_sketch.h"
-#include "src/dist/site.h"
 #include "src/engine/keyed_store.h"
 #include "src/stream/event.h"
 
@@ -58,7 +56,8 @@ class StreamEngine {
  public:
   struct Options {
     EcmConfig sketch;        ///< configuration of the underlying sketch
-    int domain_bits = 0;     ///< > 0 enables the dyadic stack (heavy hitters)
+    int domain_bits = 0;     ///< > 0 enables the dyadic stack (heavy hitters);
+                             ///< its level 0 is then the engine's sketch
     uint64_t evaluate_every = 64;  ///< cadence of self-join checks (arrivals)
   };
 
@@ -100,7 +99,7 @@ class StreamEngine {
 
   /// Ad-hoc queries pass through to the sketch.
   double PointQuery(uint64_t key, uint64_t range) const {
-    return site_.sketch().PointQuery(key, range);
+    return sketch().PointQuery(key, range);
   }
 
   /// Point query preferring the exact per-key counter when the key is
@@ -117,17 +116,17 @@ class StreamEngine {
       }
     }
     if (exact_out) *exact_out = false;
-    return site_.sketch().PointQuery(key, range);
+    return sketch().PointQuery(key, range);
   }
-  double SelfJoin(uint64_t range) const {
-    return site_.sketch().SelfJoin(range);
-  }
+  double SelfJoin(uint64_t range) const { return sketch().SelfJoin(range); }
 
+  /// The stream's sketch: the dyadic stack's level 0 when there is one.
   const EcmSketch<ExponentialHistogram>& sketch() const {
-    return site_.sketch();
+    return dyadic_ ? dyadic_->level(0) : *sketch_;
   }
+  /// The dyadic stack, or null when domain_bits == 0.
   const DyadicEcm<ExponentialHistogram>* dyadic() const {
-    return site_.dyadic();
+    return dyadic_.get();
   }
 
   /// Counters for tests/telemetry.
@@ -173,12 +172,14 @@ class StreamEngine {
   void EvaluateHitters(Timestamp ts);
 
   Options options_;
-  // The engine IS the paper's "local site": its synopses are one runtime
-  // Site (sketch + optional dyadic stack), the same observation-point
-  // abstraction the distributed substrates are built on.
-  Site<ExponentialHistogram> site_;
-  // Optional exact per-key counter store, admission-guarded by site_'s
-  // sketch (null until EnableKeyedStore).
+  // The engine's one synopsis: the dyadic stack when a key domain is
+  // declared, otherwise the sketch alone; exactly one of the two is set.
+  // Held by pointer so the sketch address the keyed store borrows
+  // survives a move of the engine.
+  std::unique_ptr<DyadicEcm<ExponentialHistogram>> dyadic_;
+  std::unique_ptr<EcmSketch<ExponentialHistogram>> sketch_;
+  // Optional exact per-key counter store, admission-guarded by sketch()
+  // (null until EnableKeyedStore).
   std::unique_ptr<KeyedCounterStore> keyed_store_;
   std::vector<PointWatch> point_watches_;
   std::vector<SelfJoinWatch> selfjoin_watches_;

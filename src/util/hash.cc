@@ -22,8 +22,7 @@ PairwiseHash::PairwiseHash(uint64_t seed_a, uint64_t seed_b) {
   b_ = Mix64(seed_b) % kMersenne61;            // in [0, p)
 }
 
-HashFamily::HashFamily(uint64_t seed, int d, HashReduction reduction)
-    : seed_(seed), reduction_(reduction) {
+HashFamily::HashFamily(uint64_t seed, int d, HashReduction) : seed_(seed) {
   funcs_.reserve(d);
   for (int i = 0; i < d; ++i) {
     // Distinct, deterministic sub-seeds per row.
@@ -45,22 +44,10 @@ HashFamily::HashFamily(uint64_t seed, int d, HashReduction reduction)
 
 void HashFamily::BucketsRowMajor(const uint64_t* mixed, size_t n,
                                  uint32_t width, uint32_t* out) const {
-  const size_t d = funcs_.size();
-  if (reduction_ == HashReduction::kFastRange) {
-    const auto& kernels = internal::ActiveHashKernels();
-    for (size_t row = 0; row < d; ++row) {
-      kernels.buckets_row(coeff_a_[row], coeff_b_[row], mixed, n, width,
-                          out + row * n);
-    }
-    return;
-  }
-  for (size_t row = 0; row < d; ++row) {
-    uint32_t* row_out = out + row * n;
-    for (size_t k = 0; k < n; ++k) {
-      row_out[k] =
-          PairwiseHash::Reduce(funcs_[row].RawMixed(mixed[k]), width,
-                               reduction_);
-    }
+  const auto& kernels = internal::ActiveHashKernels();
+  for (size_t row = 0; row < funcs_.size(); ++row) {
+    kernels.buckets_row(coeff_a_[row], coeff_b_[row], mixed, n, width,
+                        out + row * n);
   }
 }
 

@@ -26,7 +26,7 @@ inline uint32_t ScalarBucket(uint64_t a, uint64_t b, uint64_t mixed,
                              uint32_t width) {
   uint64_t v = PairwiseHash::MulModMersenne61(a, mixed) + b;
   if (v >= kM61) v -= kM61;
-  return PairwiseHash::Reduce(v, width, HashReduction::kFastRange);
+  return PairwiseHash::Reduce(v, width);
 }
 
 void Mix64BatchScalar(const uint64_t* keys, size_t n, uint64_t* out) {

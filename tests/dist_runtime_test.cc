@@ -80,16 +80,13 @@ TEST(LoopbackTransportTest, ConcurrentSendsAllLand) {
 
 // --- Site / Coordinator ----------------------------------------------------
 
-TEST(SiteTest, IngestRoutesToSketchAndDyadic) {
+TEST(SiteTest, IngestRoutesToSketch) {
   EcmConfig cfg = SketchCfg(3, OptimizeFor::kPointQueries);
-  Site<ExponentialHistogram> site(0, cfg,
-                                  Site<ExponentialHistogram>::Options{8});
-  ASSERT_NE(site.dyadic(), nullptr);
+  Site<ExponentialHistogram> site(0, cfg);
   for (Timestamp t = 1; t <= 500; ++t) site.Ingest(t % 11, t);
   EXPECT_EQ(site.updates(), 500u);
   EXPECT_EQ(site.sketch().Now(), 500u);
   EXPECT_NEAR(site.sketch().PointQuery(4, kWindow), 500.0 / 11, 30.0);
-  EXPECT_NEAR(site.dyadic()->RangeQuery(0, 10, kWindow), 500.0, 100.0);
 }
 
 TEST(SiteTest, IngestBatchMatchesPerArrival) {

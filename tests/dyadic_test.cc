@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <set>
 
+#include "src/dist/serialize.h"
 #include "src/stream/generators.h"
 #include "src/util/random.h"
 
@@ -202,6 +203,28 @@ TEST_F(DyadicEcmTest, MemoryScalesWithDomainBits) {
   // Never more than an all-sketch stack.
   EXPECT_LT(small.MemoryBytes(), 8 * sketch_bytes);
   EXPECT_LT(large.MemoryBytes(), 16 * sketch_bytes);
+}
+
+// Level 0 is the stream's own sketch: built from the config unchanged,
+// seed included, it serializes byte-identical to EcmSketch(config) fed the
+// same stream, in both window modes.
+TEST(DyadicLevelZeroTest, IsTheStandaloneSketch) {
+  for (WindowMode mode : {WindowMode::kTimeBased, WindowMode::kCountBased}) {
+    auto cfg = EcmConfig::Create(0.1, 0.01, mode, 5'000, 23);
+    ASSERT_TRUE(cfg.ok());
+    DyadicEcm<ExponentialHistogram> dyadic(17, *cfg);
+    EcmSketch<ExponentialHistogram> standalone(*cfg);
+    ZipfStream::Config zc;
+    zc.domain = 1u << 17;
+    zc.skew = 1.1;
+    zc.seed = 9;
+    ZipfStream stream(zc);
+    for (const auto& e : stream.Take(20'000)) {
+      dyadic.Add(e.key, e.ts);
+      standalone.Add(e.key, e.ts);
+    }
+    EXPECT_EQ(SerializeSketch(dyadic.level(0)), SerializeSketch(standalone));
+  }
 }
 
 TEST(DyadicEcmCreateTest, RejectsBadDomainBits) {

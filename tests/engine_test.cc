@@ -1,11 +1,16 @@
 // Tests for the continuous-query engine: threshold edge-triggering in
 // both directions, window-slide de-assertion, heavy-hitter periodic
-// reports, query lifecycle, and evaluation-cadence accounting.
+// reports, query lifecycle, evaluation-cadence accounting, the one-sketch
+// identity (the dyadic stack's level 0 is the engine's sketch) and a
+// keyed store that outlives a move of its engine.
 
 #include "src/engine/continuous.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "src/dist/serialize.h"
 #include "src/stream/generators.h"
 
 namespace ecm {
@@ -142,6 +147,66 @@ TEST(StreamEngineTest, MultipleWatchesIndependent) {
   for (Timestamp t = 1; t <= 100; ++t) engine.Ingest(1, t);
   EXPECT_EQ(a_fired, 1);
   EXPECT_EQ(b_fired, 0);  // key 2 never arrived
+}
+
+TEST(StreamEngineTest, IngestFeedsDyadicStack) {
+  StreamEngine engine(MakeOptions(10'000, /*domain_bits=*/8));
+  ASSERT_NE(engine.dyadic(), nullptr);
+  for (Timestamp t = 1; t <= 500; ++t) engine.Ingest(t % 11, t);
+  EXPECT_EQ(engine.stats().arrivals, 500u);
+  EXPECT_EQ(engine.sketch().Now(), 500u);
+  EXPECT_NEAR(engine.PointQuery(4, 10'000), 500.0 / 11, 30.0);
+  EXPECT_NEAR(engine.dyadic()->RangeQuery(0, 10, 10'000), 500.0, 100.0);
+}
+
+// One sketch per stream: with or without a dyadic stack, the engine's
+// sketch is exactly the EcmSketch(config) a standalone user builds from
+// the same arrivals, byte for byte on the wire; with a stack it is the
+// stack's level 0 itself.
+TEST(StreamEngineTest, SketchIsTheStandaloneSketch) {
+  for (int domain_bits : {0, 12}) {
+    const StreamEngine::Options opts = MakeOptions(10'000, domain_bits);
+    StreamEngine engine(opts);
+    EcmSketch<ExponentialHistogram> standalone(opts.sketch);
+    Rng rng(8);
+    for (Timestamp t = 1; t <= 5'000; ++t) {
+      const uint64_t key = rng.Uniform(4'096);
+      const uint64_t count = 1 + rng.Uniform(3);
+      engine.Ingest(key, t, count);
+      standalone.Add(key, t, count);
+    }
+    EXPECT_EQ(SerializeSketch(engine.sketch()), SerializeSketch(standalone))
+        << "domain_bits=" << domain_bits;
+    if (domain_bits > 0) {
+      ASSERT_NE(engine.dyadic(), nullptr);
+      EXPECT_EQ(&engine.sketch(), &engine.dyadic()->level(0));
+    } else {
+      EXPECT_EQ(engine.dyadic(), nullptr);
+    }
+  }
+}
+
+// The keyed store borrows the engine's sketch for admission. After the
+// engine moves (engines live in vectors), the store must read the sketch
+// the moved-to engine owns, not the moved-from one.
+TEST(StreamEngineTest, KeyedStoreSurvivesEngineMove) {
+  for (int domain_bits : {0, 12}) {
+    StreamEngine a(MakeOptions(10'000, domain_bits));
+    KeyedStoreConfig kc;
+    kc.window_len = 10'000;
+    kc.admit_threshold = 5;
+    a.EnableKeyedStore(kc);
+    StreamEngine b = std::move(a);
+    for (Timestamp t = 1; t <= 50; ++t) b.Ingest(7, t);
+    ASSERT_NE(b.keyed_store(), nullptr);
+    EXPECT_EQ(b.keyed_store()->stats().admissions, 1u)
+        << "domain_bits=" << domain_bits;
+    bool exact = false;
+    const double est = b.PointQueryExact(7, 10'000, &exact);
+    EXPECT_TRUE(exact);
+    // Admitted at the arrival that lifted the sketch estimate to 5.
+    EXPECT_NEAR(est, 46.0, 1.0);
+  }
 }
 
 }  // namespace

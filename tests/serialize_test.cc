@@ -50,21 +50,26 @@ TEST(SerializeConfigTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeEcmConfig(&r).ok());
 }
 
-TEST(SerializeConfigTest, RoundTripsHashReduction) {
+TEST(SerializeConfigTest, RejectsRetiredModuloReduction) {
+  // Byte 1 named the retired `raw % width` bucket mapping; the decoder
+  // implements only fast range (2), so a blob carrying 1 is corrupt, not
+  // misread.
   auto cfg = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, 1000, 7);
   ASSERT_TRUE(cfg.ok());
-  cfg->hash_reduction = HashReduction::kModulo;
   ByteWriter w;
   SerializeEcmConfig(*cfg, &w);
-  ByteReader r(w.bytes());
+  std::vector<uint8_t> bytes = w.bytes();
+  // Magic (4 bytes), version, then the reduction byte.
+  ASSERT_EQ(bytes[5], static_cast<uint8_t>(HashReduction::kFastRange));
+  {
+    ByteReader r(bytes.data(), bytes.size());
+    EXPECT_TRUE(DeserializeEcmConfig(&r).ok());
+  }
+  bytes[5] = 1;
+  ByteReader r(bytes.data(), bytes.size());
   auto back = DeserializeEcmConfig(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->hash_reduction, HashReduction::kModulo);
-  // A config using the other reduction maps keys differently and must not
-  // be considered compatible.
-  EcmConfig other = *cfg;
-  other.hash_reduction = HashReduction::kFastRange;
-  EXPECT_FALSE(back->CompatibleWith(other));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
 TEST(SerializeConfigTest, RejectsUnversionedLegacyEncoding) {

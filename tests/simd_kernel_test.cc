@@ -127,24 +127,6 @@ TEST(SimdKernelTest, BucketsRowMajorMatchesScalarAtEveryTier) {
   }
 }
 
-TEST(SimdKernelTest, ModuloReductionUnaffectedByForcedTier) {
-  // kModulo bypasses the vector kernels; forcing tiers must not change it.
-  constexpr int kDepth = 4;
-  HashFamily family(0xD1CE, kDepth, HashReduction::kModulo);
-  const std::vector<uint64_t> keys = AdversarialKeys();
-  for (SimdLevel level : kAllLevels) {
-    if (!SimdLevelSupported(level)) continue;
-    ScopedSimdLevel scoped(level);
-    for (uint64_t key : keys) {
-      uint32_t got[kDepth];
-      family.BucketsMixed(key, 54, got);
-      for (int row = 0; row < kDepth; ++row) {
-        ASSERT_EQ(got[row], family.Bucket(row, key, 54));
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, ForceSimdLevelRejectsUnsupportedAndReports) {
   // Scalar is always forcible; unsupported tiers are rejected unchanged.
   EXPECT_TRUE(ForceSimdLevel(SimdLevel::kScalar));

@@ -166,19 +166,6 @@ TEST(HashTest, BucketsMixedAgreesWithPerRowBucket) {
   }
 }
 
-TEST(HashTest, ReductionVersionsDiffer) {
-  // The fast-range and modulo reductions are different mappings of the
-  // same raw hash — families must not claim compatibility across them.
-  HashFamily fast(5, 3, HashReduction::kFastRange);
-  HashFamily mod(5, 3, HashReduction::kModulo);
-  EXPECT_FALSE(fast.SameAs(mod));
-  int diff = 0;
-  for (uint64_t k = 0; k < 500; ++k) {
-    if (fast.Bucket(0, k, 1000) != mod.Bucket(0, k, 1000)) ++diff;
-  }
-  EXPECT_GT(diff, 400);
-}
-
 // Chi-square uniformity of the fast-range reduction over the buckets, for
 // sequential and adversarially structured key sets. 255 degrees of
 // freedom: chi2 above ~330 has p < 0.001, so a comfortably larger bound
@@ -200,7 +187,7 @@ TEST(HashTest, FastRangeChiSquareUniform) {
   for (const KeySet& s : sets) {
     std::vector<double> counts(kWidth, 0.0);
     for (uint64_t i = 0; i < kN; ++i) {
-      uint32_t b = h.Bucket(s.key(i), kWidth, HashReduction::kFastRange);
+      uint32_t b = h.Bucket(s.key(i), kWidth);
       ASSERT_LT(b, kWidth);
       counts[b] += 1.0;
     }
