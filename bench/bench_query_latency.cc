@@ -3,13 +3,19 @@
 // sketch:
 //
 //  * PointQuery throughput (per-call and batched) for ECM-EH/DW, plus
-//    large-frontier batches that take the bucket-sorted sweep;
+//    large-frontier batches that fill and read the cell-estimate table;
 //  * the SIMD hash kernels per instruction-set tier;
 //  * SelfJoin and EstimateL1 (batched single-estimate-per-cell path);
 //  * RandomizedWave::Estimate at large retained-run counts;
 //  * dyadic stack adds (exact top levels), the same stack behind a
 //    StreamEngine (one synopsis: the stack's level 0 is the engine's
-//    sketch), and heavy-hitter sweeps (batched frontier descent).
+//    sketch), heavy-hitter sweeps (batched frontier descent), and whole
+//    query rounds (ingest, then L1, heavy hitters, quantiles and the
+//    self-join at one (now, range)).
+//
+// Loops that repeat a query without updates rotate (now, range) per
+// sweep, so no sweep but the first could be answered from the
+// cell-estimate table or the L1 memo a previous sweep left behind.
 //
 // Run with `--json BENCH_prN.json` for the machine-readable rows of the
 // perf-trajectory baseline (BENCH_pr4.json is the first query-side one);
@@ -18,6 +24,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -142,12 +149,15 @@ double MeasurePointQueriesBatched(const EcmSketch<Counter>& sketch,
 
 // --- large-frontier batched point queries ---------------------------------
 
-// At large frontier sizes PointQueryBatchAt counting-sorts each row's
-// keys, so the counter walk is sequential and column-colliding keys
-// (frontier >> width means dozens per column) share one Estimate. The
-// win tracks the per-estimate cost: partial ranges pay a straddling-level
-// binary search per counter, full-coverage probes are O(1) off the
-// running total — both regimes are recorded.
+// At large frontier sizes (n >= width) PointQueryBatchAt estimates every
+// cell once into the cell-estimate table and reads each key's cells from
+// it, so column-colliding keys (frontier >> width means dozens per
+// column) share one Estimate. The win tracks the per-estimate cost:
+// partial ranges pay a straddling-level binary search per counter,
+// full-coverage probes are O(1) off the running total — both regimes are
+// recorded. Each sweep reads at its own range (range + i % 16; ranges past
+// the window clamp to it, so the full regime stays full), so every sweep
+// fills the table afresh.
 template <SlidingWindowCounter Counter>
 double MeasureLargeFrontier(const EcmSketch<Counter>& sketch, size_t frontier,
                             size_t sweeps, uint64_t range,
@@ -159,7 +169,8 @@ double MeasureLargeFrontier(const EcmSketch<Counter>& sketch, size_t frontier,
   const Timestamp now = sketch.Now();
   Timer timer;
   for (size_t i = 0; i < sweeps; ++i) {
-    sketch.PointQueryBatchAt(keys.data(), frontier, range, now, out.data());
+    sketch.PointQueryBatchAt(keys.data(), frontier, range + i % 16, now,
+                             out.data());
     g_sink += out[i % frontier];
   }
   const double rate =
@@ -310,7 +321,9 @@ double MeasureHeavyHitters(const std::vector<StreamEvent>& events,
   size_t hitters = 0;
   Timer timer;
   for (size_t i = 0; i < sweeps; ++i) {
-    hitters = dy->HeavyHitters(kPhi, kWindow).size();
+    // Ranges past the window clamp to it: a full-window sweep whose
+    // (now, range) no earlier sweep read.
+    hitters = dy->HeavyHitters(kPhi, kWindow + i % 16).size();
   }
   const double rate = static_cast<double>(sweeps) / timer.ElapsedSeconds();
   std::printf("  (heavy-hitter sweeps report ~%zu keys at phi=%.2f)\n",
@@ -367,6 +380,52 @@ double MeasureEngineAdd(const std::vector<StreamEvent>& events) {
       static_cast<double>(events.size()) / timer.ElapsedSeconds();
   RecordBenchResult("query/engine-add/ENGINE-EH", rate,
                     static_cast<double>(engine.MemoryBytes()));
+  return rate;
+}
+
+// One dashboard query round per 32 ingested events on the e2ebench query
+// stack's shape (17 bits, 56 × 5 cells per sketch): at one (now, range),
+// the L1 estimate, ratio heavy hitters, three quantiles and level 0's
+// self-join. The L1 sweep fills level 0's cell-estimate table, which the
+// level-0 heavy-hitter probes, the quantile searches and the self-join
+// then read. The stack is loaded with the first half of the events; the
+// rounds ingest the rest. Rate is rounds/s; bytes is the stack after the
+// rounds, tables included.
+double MeasureDyadicRound(const std::vector<StreamEvent>& events) {
+  constexpr int kDomainBits = 17;
+  constexpr size_t kIngest = 32;
+  constexpr double kPhi = 0.01;
+  constexpr double kQuantiles[] = {0.5, 0.9, 0.99};
+  const uint64_t ranges[] = {kWindow / 16, kWindow / 4, kWindow};
+  auto dy = DyadicEcm<ExponentialHistogram>::Create(
+      kDomainBits, kEpsilon, /*delta=*/0.01, WindowMode::kTimeBased, kWindow,
+      /*seed=*/7);
+  if (!dy.ok()) {
+    std::fprintf(stderr, "dyadic config: %s\n",
+                 dy.status().ToString().c_str());
+    return 0.0;
+  }
+  const uint64_t mask = (1ULL << kDomainBits) - 1;
+  const size_t half = events.size() / 2;
+  for (size_t i = 0; i < half; ++i) dy->Add(events[i].key & mask, events[i].ts);
+  size_t rounds = 0;
+  Timer timer;
+  for (size_t next = half; next + kIngest <= events.size(); next += kIngest) {
+    for (size_t i = next; i < next + kIngest; ++i) {
+      dy->Add(events[i].key & mask, events[i].ts);
+    }
+    const uint64_t range = ranges[rounds % std::size(ranges)];
+    g_sink += dy->EstimateL1(range);
+    g_sink += static_cast<double>(dy->HeavyHitters(kPhi, range).size());
+    for (double q : kQuantiles) {
+      g_sink += static_cast<double>(dy->Quantile(q, range));
+    }
+    g_sink += dy->level(0).SelfJoin(range);
+    ++rounds;
+  }
+  const double rate = static_cast<double>(rounds) / timer.ElapsedSeconds();
+  RecordBenchResult("query/round/DYADIC-EH", rate,
+                    static_cast<double>(dy->MemoryBytes()));
   return rate;
 }
 
@@ -469,6 +528,12 @@ void Run() {
             FormatDouble(MeasureHeavyHitters(
                              events, std::max<size_t>(kQ / 2000, 4)),
                          2)});
+
+  PrintHeader(
+      "Dyadic query rounds over 17-bit keys: 32-event ingest, then L1, "
+      "heavy hitters, 3 quantiles, self-join (rounds/second)",
+      {"stack", "rate"});
+  PrintRow({"exact top levels", FormatDouble(MeasureDyadicRound(events), 0)});
 
   std::printf("\n(sink %.3g)\n", g_sink);
 }

@@ -182,15 +182,20 @@ class DyadicEcm {
   /// prefixes: each sketch level's sibling probes go through the level
   /// sketch's batched point-query path in one pass (one hash pass per
   /// prefix, row-major counter sweep) instead of one PointQuery per tree
-  /// node; an exact level reads one counter per prefix. Reported keys,
-  /// estimates and order are identical to one RangeQuery per surviving
-  /// dyadic range, descended recursively (ascending key order).
+  /// node; an exact level reads one counter per prefix. A sketch level
+  /// whose frontier reaches its width fills the level's cell-estimate
+  /// table, and level 0 reads the table the ratio form's L1 estimate
+  /// filled. Reported keys, estimates and order are identical to one
+  /// RangeQuery per surviving dyadic range, descended recursively
+  /// (ascending key order). The frontier lives in thread-local scratch,
+  /// so a steady-state descent allocates only its report.
   std::vector<HeavyHitter> HeavyHittersAbsolute(double threshold,
                                                 uint64_t range) const {
     std::vector<HeavyHitter> out;
-    std::vector<uint64_t> frontier = {0, 1};
-    std::vector<uint64_t> next;
-    std::vector<double> ests;
+    static thread_local std::vector<uint64_t> frontier;
+    static thread_local std::vector<uint64_t> next;
+    static thread_local std::vector<double> ests;
+    frontier.assign({0, 1});
     for (int level = domain_bits_ - 1; level >= 0 && !frontier.empty();
          --level) {
       ests.resize(frontier.size());
@@ -235,7 +240,8 @@ class DyadicEcm {
   /// ‖a_r‖₁ estimate (average of per-row counter sums of CM₀). Memoized
   /// inside CM₀ per (now, range) until its next update, so the
   /// ratio-threshold descent and quantile binary search pay the full
-  /// width × depth sweep once.
+  /// width × depth sweep once; the sweep fills CM₀'s cell-estimate table,
+  /// which the level-0 probes and SelfJoin at that (now, range) then read.
   double EstimateL1(uint64_t range) const {
     return levels_[0].EstimateL1(range);
   }

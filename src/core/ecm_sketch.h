@@ -20,6 +20,24 @@
 // Time-based sketches of parallel streams merge into a sketch of the
 // order-preserving aggregate stream (§5.3); count-based sketches refuse to
 // merge (Fig. 2 impossibility).
+//
+// Cell-estimate table. The queries of one round read the same cells: the
+// §6.1 L1 estimate sums every cell, the self-join dots every row, and the
+// dyadic heavy-hitter and quantile searches probe level cells. A read that
+// estimates every cell anyway (an L1 memo miss, InnerProduct/SelfJoin,
+// EstimateRowAt, a batch of at least `width` keys) stores the w × d
+// estimates in one table keyed on (update version, now, range), allocated
+// by the first such read (Merge reserves it for the sketch it builds);
+// every point read at that key reads the table instead of calling
+// Counter::Estimate again. Each entry is the same Estimate(now, range)
+// call, summed and minimised in the same order, so answers are
+// bit-identical with the table warm or cold.
+//
+// Thread safety: one thread per sketch instance. Updates were never safe
+// to run concurrently with anything; const reads are not either, because
+// they write the cell-estimate table and the L1 memo (`mutable` members).
+// Callers that share a sketch between threads serialise every access,
+// reads included, under one lock.
 
 #ifndef ECM_CORE_ECM_SKETCH_H_
 #define ECM_CORE_ECM_SKETCH_H_
@@ -106,10 +124,6 @@ inline HybridHistogram::Config MakeCounterConfig<HybridHistogram>(
 template <SlidingWindowCounter Counter>
 class EcmSketch {
  public:
-  /// Batch size from which PointQueryBatchAt bucket-sorts each row's keys
-  /// instead of sweeping them in caller order.
-  static constexpr size_t kBatchBucketSortThreshold = 64;
-
   /// Builds a sketch from a fully-specified config (typically produced by
   /// EcmConfig::Create). Sketches that will be merged or compared must be
   /// built from compatible configs (same dimensions/seed/window/mode).
@@ -192,36 +206,24 @@ class EcmSketch {
   /// Point query evaluated at an explicit clock value `now` (time-based
   /// mode; `now` must be >= the last Add timestamp).
   double PointQueryAt(uint64_t key, uint64_t range, Timestamp now) const {
-    uint32_t cols[kMaxSketchDepth];
-    hashes_.BucketsMixed(key, config_.width, cols);
-    for (int j = 0; j < config_.depth; ++j) {
-      PrefetchRead(&counters_[static_cast<size_t>(j) * config_.width +
-                              cols[j]]);
-    }
-    double best = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < config_.depth; ++j) {
-      best = std::min(best, CounterAt(j, cols[j]).Estimate(now, range));
-    }
-    return best;
+    double rows[kMaxSketchDepth];
+    PointQueryRowsAt(key, range, now, rows);
+    return *std::min_element(rows, rows + config_.depth);
   }
 
   /// Batched point queries: writes the estimate for each of keys[0..n)
   /// to out[0..n), identical to n PointQueryAt calls. One SIMD Mix64
   /// pass over all keys, then the key-parallel kernel fills a row-major
   /// bucket matrix (cols[j*n + k]) so each row's sweep reads one
-  /// contiguous span; the estimation pass then sweeps the counter array
-  /// row-major — the access pattern the dyadic heavy-hitter frontier
-  /// descent batches its sibling probes through.
+  /// contiguous span — the access pattern the dyadic heavy-hitter
+  /// frontier descent batches its sibling probes through.
   ///
-  /// The batch size picks the per-row sweep. From
-  /// kBatchBucketSortThreshold keys on, the keys inside each row are
-  /// counting-sorted so counter accesses walk in ascending column order
-  /// and column-colliding keys share one Estimate; with the row-major
-  /// column matrix that wins at full and partial coverage alike. Smaller
-  /// batches visit keys in caller order with a look-ahead prefetch, since
-  /// the sort's fixed per-row cost outweighs its locality win there.
-  /// Per-key results are bit-identical either way: each estimate is
-  /// independent and the per-key min is order-free.
+  /// The keys need n·d estimates and the cell-estimate table w·d, so from
+  /// n = width on the batch fills the table and reads it; smaller batches
+  /// read it when it is already valid at (now, range), and otherwise
+  /// estimate their own cells in caller order with a look-ahead prefetch.
+  /// Per-key results are bit-identical either way: each estimate is the
+  /// same Estimate(now, range) call and the per-key min is order-free.
   void PointQueryBatchAt(const uint64_t* keys, size_t n, uint64_t range,
                          Timestamp now, double* out) const {
     if (n == 0) return;
@@ -233,40 +235,25 @@ class EcmSketch {
     HashFamily::Mix64Batch(keys, n, mixed.data());
     hashes_.BucketsRowMajor(mixed.data(), n, config_.width, cols.data());
     std::fill(out, out + n, std::numeric_limits<double>::infinity());
-    if (n < kBatchBucketSortThreshold) {
-      constexpr size_t kLookAhead = 8;
+    const double* table =
+        n >= config_.width ? Table(now, range) : ValidTable(now, range);
+    if (table != nullptr) {
       for (size_t j = 0; j < depth; ++j) {
-        const Counter* row = &counters_[j * config_.width];
+        const double* row = table + j * config_.width;
         const uint32_t* row_cols = &cols[j * n];
         for (size_t k = 0; k < n; ++k) {
-          if (k + kLookAhead < n) PrefetchRead(&row[row_cols[k + kLookAhead]]);
-          out[k] = std::min(out[k], row[row_cols[k]].Estimate(now, range));
+          out[k] = std::min(out[k], row[row_cols[k]]);
         }
       }
       return;
     }
-    static thread_local std::vector<uint32_t> starts;  // counting sort
-    static thread_local std::vector<uint32_t> order;
-    order.resize(n);
+    constexpr size_t kLookAhead = 8;
     for (size_t j = 0; j < depth; ++j) {
-      const uint32_t* row_cols = &cols[j * n];
-      starts.assign(config_.width + 1, 0);
-      for (size_t k = 0; k < n; ++k) ++starts[row_cols[k] + 1];
-      for (uint32_t c = 0; c < config_.width; ++c) starts[c + 1] += starts[c];
-      for (size_t k = 0; k < n; ++k) {
-        order[starts[row_cols[k]]++] = static_cast<uint32_t>(k);
-      }
       const Counter* row = &counters_[j * config_.width];
-      uint32_t prev_col = std::numeric_limits<uint32_t>::max();
-      double prev_est = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t k = order[i];
-        const uint32_t col = row_cols[k];
-        if (col != prev_col) {
-          prev_col = col;
-          prev_est = row[col].Estimate(now, range);
-        }
-        out[k] = std::min(out[k], prev_est);
+      const uint32_t* row_cols = &cols[j * n];
+      for (size_t k = 0; k < n; ++k) {
+        if (k + kLookAhead < n) PrefetchRead(&row[row_cols[k + kLookAhead]]);
+        out[k] = std::min(out[k], row[row_cols[k]].Estimate(now, range));
       }
     }
   }
@@ -298,6 +285,12 @@ class EcmSketch {
                         double* out) const {
     uint32_t cols[kMaxSketchDepth];
     hashes_.BucketsMixed(key, config_.width, cols);
+    if (const double* table = ValidTable(now, range)) {
+      for (int j = 0; j < config_.depth; ++j) {
+        out[j] = table[static_cast<size_t>(j) * config_.width + cols[j]];
+      }
+      return;
+    }
     for (int j = 0; j < config_.depth; ++j) {
       PrefetchRead(&counters_[static_cast<size_t>(j) * config_.width +
                               cols[j]]);
@@ -339,26 +332,17 @@ class EcmSketch {
       return Status::Incompatible(
           "InnerProduct requires equal dimensions, seed, window and mode");
     }
-    // Batched path: materialize each row's counter estimates once into
-    // scratch, then dot. A self-join squares the one materialized row,
-    // so every counter is estimated exactly once — half the work of the
-    // per-cell double-Estimate loop, with identical results (same values,
-    // same accumulation order).
-    static thread_local std::vector<double> scratch_a, scratch_b;
-    const bool self = (this == &other);
-    scratch_a.resize(config_.width);
-    if (!self) scratch_b.resize(config_.width);
+    // Each table holds every cell's estimate once (a self-join squares
+    // its one table); rows dot in cell order, so the sum is the per-cell
+    // loop's bit for bit.
+    const double* a = Table(now, range);
+    const double* b = (this == &other) ? a : other.Table(now, range);
     double best = std::numeric_limits<double>::infinity();
     for (int j = 0; j < config_.depth; ++j) {
-      EstimateRowAt(j, range, now, scratch_a.data());
-      const double* b = scratch_a.data();
-      if (!self) {
-        other.EstimateRowAt(j, range, now, scratch_b.data());
-        b = scratch_b.data();
-      }
+      const size_t base = static_cast<size_t>(j) * config_.width;
       double row = 0.0;
       for (uint32_t i = 0; i < config_.width; ++i) {
-        row += scratch_a[i] * b[i];
+        row += a[base + i] * b[base + i];
       }
       best = std::min(best, row);
     }
@@ -394,12 +378,9 @@ class EcmSketch {
       }
     }
     ++l1_misses_;
+    const double* table = Table(now, range);
     double total = 0.0;
-    for (int j = 0; j < config_.depth; ++j) {
-      for (uint32_t i = 0; i < config_.width; ++i) {
-        total += CounterAt(j, i).Estimate(now, range);
-      }
-    }
+    for (size_t c = 0; c < NumCounters(); ++c) total += table[c];
     // Evict a stale slot if any survives (entries from old versions are
     // dead weight), else the least recently used one.
     L1Cache* victim = &l1_cache_[0];
@@ -422,17 +403,15 @@ class EcmSketch {
   };
   L1CacheStats l1_cache_stats() const { return {l1_hits_, l1_misses_}; }
 
-  /// Materializes row `row`'s counter estimates at (now, range) into
-  /// out[0..width) — the batched query primitive shared by
-  /// InnerProduct/SelfJoin and the geometric monitor's statistics
-  /// vectors: each counter's Estimate runs exactly once per pass over
-  /// the row's contiguous storage.
+  /// Copies row `row`'s counter estimates at (now, range) into
+  /// out[0..width) — the geometric monitors' statistics vectors, which
+  /// read every row in turn: the first row fills the cell-estimate table,
+  /// the others copy it.
   void EstimateRowAt(int row, uint64_t range, Timestamp now,
                      double* out) const {
-    const Counter* base = &counters_[static_cast<size_t>(row) * config_.width];
-    for (uint32_t i = 0; i < config_.width; ++i) {
-      out[i] = base[i].Estimate(now, range);
-    }
+    const double* base =
+        Table(now, range) + static_cast<size_t>(row) * config_.width;
+    std::copy(base, base + config_.width, out);
   }
 
   /// Merges time-based sketches into a sketch of the order-preserving
@@ -454,6 +433,12 @@ class EcmSketch {
                          merged_sw * merged_cfg.epsilon_cm;
 
     EcmSketch merged(merged_cfg);
+    // A merged sketch is built to be read (a coordinator's per-round
+    // view), so its cell-estimate table is reserved here, beside its
+    // counters: left to the first read, the allocation lands in the
+    // query and pays the allocator's cleanup of the previous view's
+    // frees there.
+    merged.table_.reserve(merged.NumCounters());
     std::vector<const Counter*> cell;
     cell.reserve(inputs.size());
     for (size_t i = 0; i < first.NumCounters(); ++i) {
@@ -526,9 +511,10 @@ class EcmSketch {
     ++version_;
   }
 
-  /// In-memory footprint: all counters plus the sketch frame.
+  /// In-memory footprint: all counters, the cell-estimate table once a
+  /// whole-sketch read allocated it, plus the sketch frame.
   size_t MemoryBytes() const {
-    size_t bytes = sizeof(*this);
+    size_t bytes = sizeof(*this) + table_.capacity() * sizeof(double);
     for (const auto& c : counters_) bytes += c.MemoryBytes();
     return bytes;
   }
@@ -544,7 +530,8 @@ class EcmSketch {
   }
   Counter& CounterAt(int row, uint32_t col) {
     // Handing out a mutable counter (deserialization, tests) may change
-    // its contents, so the memoized window totals must not outlive it.
+    // its contents, so the memoized window totals and the cell-estimate
+    // table must not outlive it.
     ++version_;
     return counters_[static_cast<size_t>(row) * config_.width + col];
   }
@@ -586,11 +573,31 @@ class EcmSketch {
     }
   }
 
+  // The cell-estimate table if it holds this state's estimates at
+  // (now, range), else nullptr.
+  const double* ValidTable(Timestamp now, uint64_t range) const {
+    const bool valid = table_version_ == version_ && table_now_ == now &&
+                       table_range_ == range && !table_.empty();
+    return valid ? table_.data() : nullptr;
+  }
+
+  // The cell-estimate table at (now, range), filled first (one Estimate
+  // per cell, row-major) unless it already holds them.
+  const double* Table(Timestamp now, uint64_t range) const {
+    if (const double* table = ValidTable(now, range)) return table;
+    table_.resize(NumCounters());
+    for (size_t c = 0; c < counters_.size(); ++c) {
+      table_[c] = counters_[c].Estimate(now, range);
+    }
+    table_version_ = version_;
+    table_now_ = now;
+    table_range_ = range;
+    return table_.data();
+  }
+
   // One slot of the EstimateL1At LRU, keyed on the sketch's update
   // version and the query's (now, range). `mutable` because queries are
-  // logically const; like the thread_local query scratch, concurrent
-  // queries on one sketch instance are not supported (updates never
-  // were).
+  // logically const (see the file comment on thread safety).
   struct L1Cache {
     uint64_t version = 0;
     Timestamp now = 0;
@@ -608,6 +615,12 @@ class EcmSketch {
   Timestamp last_ts_ = 0;
   uint64_t l1_lifetime_ = 0;
   uint64_t version_ = 0;  // bumped on every state mutation
+  // Key of table_: the version and (now, range) its estimates were taken
+  // at. A copy carries the table with the counters it describes.
+  mutable uint64_t table_version_ = 0;
+  mutable Timestamp table_now_ = 0;
+  mutable uint64_t table_range_ = 0;
+  mutable std::vector<double> table_;  // row-major depth × width estimates
   mutable std::array<L1Cache, kL1CacheEntries> l1_cache_{};
   mutable uint64_t l1_clock_ = 0;
   mutable uint64_t l1_hits_ = 0;

@@ -11,16 +11,22 @@
 //  * EcmSketch::InnerProduct/SelfJoin/EstimateL1 batched paths vs the
 //    per-cell double-Estimate loops — bit-identical (same values, same
 //    accumulation order), plus L1 memoization invalidation on update;
-//  * EcmSketch::PointQueryBatchAt vs per-key PointQueryAt, on both sides
-//    of the size cutover between its scalar and bucket-sorted sweeps;
+//  * EcmSketch::PointQueryBatchAt vs the per-cell oracle, on both sides
+//    of the n = width cutover at which a batch fills the cell-estimate
+//    table, with the table cold and warm;
 //  * DyadicEcm frontier heavy-hitter descent vs the recursive per-node
-//    group-testing descent — same keys, estimates and order.
+//    group-testing descent — same keys, estimates and order;
+//  * one dyadic query round (L1, heavy hitters, quantiles, range queries,
+//    self-join) bit-identical with the cell-estimate tables warm or cold.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/dyadic.h"
@@ -253,25 +259,46 @@ TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyQueries) {
   }
 }
 
+// Min over rows of the per-cell scan oracle: what every point read of
+// `key` at (now, range) must return.
+double CellMinReference(const EcmEh& s, uint64_t key, uint64_t range,
+                        Timestamp now) {
+  uint32_t cols[kMaxSketchDepth];
+  s.RowBuckets(key, cols);
+  double best = std::numeric_limits<double>::infinity();
+  for (int j = 0; j < s.config().depth; ++j) {
+    best = std::min(best,
+                    oracle::ScanEstimate(s.CounterAt(j, cols[j]), now, range));
+  }
+  return best;
+}
+
 TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyAcrossSweepCutover) {
-  // The batch size picks the sweep: arrival order below
-  // kBatchBucketSortThreshold keys, bucket-sorted from it on. Sizes on
-  // both sides of the cutover must match per-key queries bit for bit,
-  // column-colliding duplicates included.
+  // From n = width keys on a batch fills the cell-estimate table and reads
+  // it; a smaller batch reads the table only when it is already valid at
+  // (now, range), and otherwise estimates its own cells. Every size on
+  // both sides of the cutover, with the table cold (left at another range)
+  // and warm (filled at this one), must match the per-cell oracle bit for
+  // bit, column-colliding duplicates included.
   Timestamp now = 0;
-  EcmEh sketch = MakeLoadedSketch(61, &now);
-  constexpr size_t kT = EcmEh::kBatchBucketSortThreshold;
+  const EcmEh sketch = MakeLoadedSketch(61, &now);
+  const size_t w = sketch.config().width;
   Rng rng(77);
   std::vector<uint64_t> keys;
-  for (size_t i = 0; i < 4 * kT; ++i) keys.push_back(rng.Uniform(700));
+  for (size_t i = 0; i < 4 * w; ++i) keys.push_back(rng.Uniform(700));
   std::vector<double> got(keys.size());
+  std::vector<double> row(w);
   const uint64_t ranges[] = {64, kWindow / 3, kWindow};
-  for (size_t n : {size_t{1}, kT - 1, kT, 4 * kT}) {
+  for (size_t n : {size_t{1}, w - 1, w, 4 * w}) {
     for (uint64_t range : ranges) {
-      sketch.PointQueryBatchAt(keys.data(), n, range, now, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], sketch.PointQueryAt(keys[i], range, now))
-            << "n " << n << " key " << keys[i] << " range " << range;
+      for (bool warm : {false, true}) {
+        sketch.EstimateRowAt(0, warm ? range : range + 1, now, row.data());
+        sketch.PointQueryBatchAt(keys.data(), n, range, now, got.data());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], CellMinReference(sketch, keys[i], range, now))
+              << "n " << n << " key " << keys[i] << " range " << range
+              << (warm ? " warm" : " cold");
+        }
       }
     }
   }
@@ -380,6 +407,96 @@ TEST(QueryEquivalenceTest, RangeQueryMatchesPerRangeSum) {
     // The grouped-by-level batch sums in a different order; allow FP
     // reassociation noise only.
     EXPECT_NEAR(dy->RangeQuery(lo, hi, kWindow), ref, 1e-6 * (1.0 + ref));
+  }
+}
+
+// Every answer of one dyadic query round at one (now, range), in the
+// order a dashboard asks them: L1, ratio heavy hitters, three quantiles,
+// range queries, the self-join.
+struct RoundAnswers {
+  double l1 = 0.0;
+  std::vector<HeavyHitter> hh;
+  std::vector<uint64_t> quantiles;
+  std::vector<double> ranges;
+  double selfjoin = 0.0;
+};
+
+// Moves every sketch level's cell-estimate table off (Now(), range) by
+// filling it at another range, so the next read at `range` finds it cold.
+template <typename Counter>
+void CoolTables(const DyadicEcm<Counter>& dy, uint64_t range) {
+  for (int l = 0; l < dy.sketch_levels(); ++l) {
+    const EcmSketch<Counter>& level = dy.level(l);
+    std::vector<double> row(level.config().width);
+    level.EstimateRowAt(0, range + 1, level.Now(), row.data());
+  }
+}
+
+TEST(QueryEquivalenceTest, DyadicRoundMatchesWithTablesWarmOrCold) {
+  // Two identical stacks. `warm` answers the round back to back, so the
+  // L1 sweep fills level 0's table and the heavy-hitter probes, quantile
+  // searches, range queries and self-join read it (and wide frontiers
+  // fill the upper levels' tables). `cold` moves every table off before
+  // each query. The answers must be bit-identical.
+  auto make = [] {
+    auto dy = DyadicEcm<ExponentialHistogram>::Create(
+        12, 0.05, 0.05, WindowMode::kTimeBased, kWindow, 9);
+    EXPECT_TRUE(dy.ok());
+    return std::move(*dy);
+  };
+  DyadicEcm<ExponentialHistogram> warm = make(), cold = make();
+  ASSERT_LT(warm.sketch_levels(), warm.domain_bits());  // exact levels too
+  Rng rng(31);
+  Timestamp t = 1;
+  const double qs[] = {0.25, 0.5, 0.99};
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3000; ++i) {
+      t += rng.Uniform(2);
+      const uint64_t key =
+          rng.Uniform(6) == 0 ? rng.Uniform(7) : rng.Uniform(4000);
+      warm.Add(key, t);
+      cold.Add(key, t);
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> intervals;
+    for (int q = 0; q < 8; ++q) {
+      const uint64_t lo = rng.Uniform(4000);
+      intervals.emplace_back(lo, lo + rng.Uniform(4096 - lo));
+    }
+    for (uint64_t range : {uint64_t{300}, kWindow}) {
+      SCOPED_TRACE("round " + std::to_string(round) + " range " +
+                   std::to_string(range));
+      auto answer = [&](const DyadicEcm<ExponentialHistogram>& dy,
+                        bool cool) {
+        RoundAnswers a;
+        if (cool) CoolTables(dy, range);
+        a.l1 = dy.EstimateL1(range);
+        if (cool) CoolTables(dy, range);
+        a.hh = dy.HeavyHitters(0.01, range);
+        for (double q : qs) {
+          if (cool) CoolTables(dy, range);
+          a.quantiles.push_back(dy.Quantile(q, range));
+        }
+        for (const auto& [lo, hi] : intervals) {
+          if (cool) CoolTables(dy, range);
+          a.ranges.push_back(dy.RangeQuery(lo, hi, range));
+        }
+        if (cool) CoolTables(dy, range);
+        a.selfjoin = dy.level(0).SelfJoin(range);
+        return a;
+      };
+      const RoundAnswers w = answer(warm, false);
+      const RoundAnswers c = answer(cold, true);
+      EXPECT_EQ(w.l1, c.l1);
+      ASSERT_EQ(w.hh.size(), c.hh.size());
+      EXPECT_FALSE(w.hh.empty());
+      for (size_t i = 0; i < w.hh.size(); ++i) {
+        EXPECT_EQ(w.hh[i].key, c.hh[i].key);
+        EXPECT_EQ(w.hh[i].estimate, c.hh[i].estimate);
+      }
+      EXPECT_EQ(w.quantiles, c.quantiles);
+      EXPECT_EQ(w.ranges, c.ranges);
+      EXPECT_EQ(w.selfjoin, c.selfjoin);
+    }
   }
 }
 
