@@ -15,7 +15,8 @@
 //
 // Loops that repeat a query without updates rotate (now, range) per
 // sweep, so no sweep but the first could be answered from the
-// cell-estimate table or the L1 memo a previous sweep left behind.
+// cell-estimate table (and the L1 sum it keeps) a previous sweep left
+// behind.
 //
 // Run with `--json BENCH_prN.json` for the machine-readable rows of the
 // perf-trajectory baseline (BENCH_pr4.json is the first query-side one);
@@ -73,8 +74,8 @@ Result<EcmSketch<Counter>> MakeLoadedSketch(
 //  * kMonitoring — the continuous-monitoring regime (engine/continuous,
 //    dist/geometric): full-window-ish ranges at the sketch clock, the
 //    workload SelfJoin/EstimateL1 serve in steady state. Ranges rotate
-//    so (now, range) pairs never repeat back to back and the L1 memo
-//    cannot short-circuit the measured sweep.
+//    so (now, range) pairs never repeat back to back and the
+//    cell-estimate table cannot short-circuit the measured sweep.
 struct Probe {
   Timestamp now;
   uint64_t range;
@@ -498,8 +499,9 @@ void Run() {
             FormatDouble(MeasureQueryRate("query/l1-mixed/ECM-EH", kQ / 100,
                                           now, ProbeMode::kMixed, l1),
                          0)});
-  // The memoized repeat-probe regime (same (now, range), e.g. the
-  // ratio-threshold descent): effectively free after the first call.
+  // The repeat-probe regime (same (now, range), e.g. the ratio-threshold
+  // descent): the first call fills the cell-estimate table and its sum,
+  // every later one reads the sum.
   {
     const size_t reps = kQ;
     Timer timer;

@@ -174,9 +174,16 @@ class DyadicEcm {
   }
 
   /// All keys whose estimated in-window frequency is >= `threshold`
-  /// occurrences (group-testing descent; Theorem 5 guarantees every key
-  /// with true frequency >= (φ+ε)‖a_r‖₁ is reported and, w.h.p., none
-  /// below φ‖a_r‖₁).
+  /// occurrences (group-testing descent). With the ratio form's
+  /// threshold φ·‖a_r‖₁ (HeavyHitters) and φ ≤ ½, Theorem 5 gives:
+  ///
+  ///  * completeness: every key with true frequency >= (φ+ε)·‖a_r‖₁ is
+  ///    reported;
+  ///  * soundness, w.h.p.: every reported key's true frequency is
+  ///    >= (φ−ε)·‖a_r‖₁. Count-Min overestimates by up to ε_cm·‖a_r‖₁
+  ///    and the windows err by ε_sw either way, so a key below φ·‖a_r‖₁
+  ///    can be reported; the ratio form tells heavy keys from light
+  ///    ones only when φ > ε.
   ///
   /// The descent runs level by level on a frontier of surviving
   /// prefixes: each sketch level's sibling probes go through the level
@@ -237,11 +244,11 @@ class DyadicEcm {
     return HeavyHittersAbsolute(phi_ratio * l1, range);
   }
 
-  /// ‖a_r‖₁ estimate (average of per-row counter sums of CM₀). Memoized
-  /// inside CM₀ per (now, range) until its next update, so the
-  /// ratio-threshold descent and quantile binary search pay the full
-  /// width × depth sweep once; the sweep fills CM₀'s cell-estimate table,
-  /// which the level-0 probes and SelfJoin at that (now, range) then read.
+  /// ‖a_r‖₁ estimate (average of per-row counter sums of CM₀), read off
+  /// CM₀'s cell-estimate table: the first read at a (now, range) fills
+  /// the table and its sum, and the ratio-threshold descent's level-0
+  /// probes, the quantile searches and SelfJoin at that (now, range) then
+  /// read the same table.
   double EstimateL1(uint64_t range) const {
     return levels_[0].EstimateL1(range);
   }

@@ -24,18 +24,20 @@
 // Cell-estimate table. The queries of one round read the same cells: the
 // §6.1 L1 estimate sums every cell, the self-join dots every row, and the
 // dyadic heavy-hitter and quantile searches probe level cells. A read that
-// estimates every cell anyway (an L1 memo miss, InnerProduct/SelfJoin,
+// estimates every cell anyway (EstimateL1At, InnerProduct/SelfJoin,
 // EstimateRowAt, a batch of at least `width` keys) stores the w × d
 // estimates in one table keyed on (update version, now, range), allocated
 // by the first such read (Merge reserves it for the sketch it builds);
 // every point read at that key reads the table instead of calling
-// Counter::Estimate again. Each entry is the same Estimate(now, range)
+// Counter::Estimate again. The fill also sums the cells in cell order, so
+// the table is the sketch's one read memo: the windowed L1 at its key is
+// that sum over the depth. Each entry is the same Estimate(now, range)
 // call, summed and minimised in the same order, so answers are
 // bit-identical with the table warm or cold.
 //
 // Thread safety: one thread per sketch instance. Updates were never safe
 // to run concurrently with anything; const reads are not either, because
-// they write the cell-estimate table and the L1 memo (`mutable` members).
+// they write the cell-estimate table and its key (`mutable` members).
 // Callers that share a sketch between threads serialise every access,
 // reads included, under one lock.
 
@@ -43,7 +45,6 @@
 #define ECM_CORE_ECM_SKETCH_H_
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -172,8 +173,7 @@ class EcmSketch {
   void Add(uint64_t key, Timestamp ts, uint64_t count = 1) {
     Timestamp use_ts;
     if (config_.mode == WindowMode::kCountBased) {
-      arrivals_ += count;
-      use_ts = arrivals_;
+      use_ts = last_ts_ + count;
     } else {
       assert(ts >= last_ts_ && ts >= 1);
       use_ts = ts;
@@ -362,41 +362,20 @@ class EcmSketch {
   /// window-counter error; averaging cancels much of it).
   double EstimateL1(uint64_t range) const { return EstimateL1At(range, Now()); }
 
-  /// Results are memoized per (now, range) until the next update
-  /// (Add/AdvanceTo/RestoreClock or direct counter mutation), so repeated
-  /// window-total probes — the dyadic stack's ratio-threshold pruning,
-  /// quantile binary searches — are O(1) after the first. The memo is a
-  /// small LRU (kL1CacheEntries slots), so dashboards that interleave
-  /// several range ladders between updates do not thrash it.
+  /// Reads the sum the cell-estimate table's fill keeps, so it is O(1)
+  /// while the table holds (now, range) — repeated window-total probes
+  /// (the dyadic stack's ratio-threshold pruning, quantile binary
+  /// searches) and an L1 after any whole-sketch read at that key. A read
+  /// at another (now, range), or after an update (Add/AdvanceTo/
+  /// RestoreClock or direct counter mutation), refills the table.
   double EstimateL1At(uint64_t range, Timestamp now) const {
-    for (L1Cache& e : l1_cache_) {
-      if (e.valid && e.version == version_ && e.now == now &&
-          e.range == range) {
-        e.stamp = ++l1_clock_;
-        ++l1_hits_;
-        return e.value;
-      }
-    }
-    ++l1_misses_;
-    const double* table = Table(now, range);
-    double total = 0.0;
-    for (size_t c = 0; c < NumCounters(); ++c) total += table[c];
-    // Evict a stale slot if any survives (entries from old versions are
-    // dead weight), else the least recently used one.
-    L1Cache* victim = &l1_cache_[0];
-    for (L1Cache& e : l1_cache_) {
-      if (!e.valid || e.version != version_) {
-        victim = &e;
-        break;
-      }
-      if (e.stamp < victim->stamp) victim = &e;
-    }
-    *victim =
-        L1Cache{version_, now, range, total / config_.depth, ++l1_clock_, true};
-    return victim->value;
+    ++(ValidTable(now, range) != nullptr ? l1_hits_ : l1_misses_);
+    Table(now, range);
+    return table_l1_;
   }
 
-  /// Hit/miss telemetry of the L1 memo (regression-tested).
+  /// L1 read telemetry: a hit found the cell-estimate table valid at the
+  /// read's (now, range), a miss filled it.
   struct L1CacheStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -476,8 +455,9 @@ class EcmSketch {
     return best;
   }
 
-  /// Windowed L1 of the union stream: the sum of the inputs' memoized
-  /// EstimateL1At. Same input rules as SumPointQueryAt.
+  /// Windowed L1 of the union stream: the sum of the inputs' EstimateL1At,
+  /// each read off (or filling) that input's cell-estimate table. Same
+  /// input rules as SumPointQueryAt.
   static Result<double> SumL1At(const std::vector<const EcmSketch*>& sites,
                                 uint64_t range, Timestamp now) {
     ECM_RETURN_NOT_OK(CheckInputs(sites, now));
@@ -506,7 +486,6 @@ class EcmSketch {
   /// (dist/serialize.h only).
   void RestoreClock(Timestamp now, uint64_t l1) {
     last_ts_ = now;
-    arrivals_ = (config_.mode == WindowMode::kCountBased) ? now : arrivals_;
     l1_lifetime_ = l1;
     ++version_;
   }
@@ -530,8 +509,8 @@ class EcmSketch {
   }
   Counter& CounterAt(int row, uint32_t col) {
     // Handing out a mutable counter (deserialization, tests) may change
-    // its contents, so the memoized window totals and the cell-estimate
-    // table must not outlive it.
+    // its contents, so the cell-estimate table (and the L1 it sums) must
+    // not outlive it.
     ++version_;
     return counters_[static_cast<size_t>(row) * config_.width + col];
   }
@@ -582,37 +561,27 @@ class EcmSketch {
   }
 
   // The cell-estimate table at (now, range), filled first (one Estimate
-  // per cell, row-major) unless it already holds them.
+  // per cell, row-major, summed in that order into the L1) unless it
+  // already holds them.
   const double* Table(Timestamp now, uint64_t range) const {
     if (const double* table = ValidTable(now, range)) return table;
     table_.resize(NumCounters());
+    double total = 0.0;
     for (size_t c = 0; c < counters_.size(); ++c) {
       table_[c] = counters_[c].Estimate(now, range);
+      total += table_[c];
     }
     table_version_ = version_;
     table_now_ = now;
     table_range_ = range;
+    table_l1_ = total / config_.depth;
     return table_.data();
   }
-
-  // One slot of the EstimateL1At LRU, keyed on the sketch's update
-  // version and the query's (now, range). `mutable` because queries are
-  // logically const (see the file comment on thread safety).
-  struct L1Cache {
-    uint64_t version = 0;
-    Timestamp now = 0;
-    uint64_t range = 0;
-    double value = 0.0;
-    uint64_t stamp = 0;  // LRU age (l1_clock_ at last touch)
-    bool valid = false;
-  };
-  static constexpr size_t kL1CacheEntries = 8;
 
   EcmConfig config_;
   HashFamily hashes_;
   std::vector<Counter> counters_;  // row-major depth × width
-  uint64_t arrivals_ = 0;  // count-based arrival index
-  Timestamp last_ts_ = 0;
+  Timestamp last_ts_ = 0;  // count-based: the global arrival index
   uint64_t l1_lifetime_ = 0;
   uint64_t version_ = 0;  // bumped on every state mutation
   // Key of table_: the version and (now, range) its estimates were taken
@@ -620,9 +589,8 @@ class EcmSketch {
   mutable uint64_t table_version_ = 0;
   mutable Timestamp table_now_ = 0;
   mutable uint64_t table_range_ = 0;
+  mutable double table_l1_ = 0.0;  // the table's sum over the depth
   mutable std::vector<double> table_;  // row-major depth × width estimates
-  mutable std::array<L1Cache, kL1CacheEntries> l1_cache_{};
-  mutable uint64_t l1_clock_ = 0;
   mutable uint64_t l1_hits_ = 0;
   mutable uint64_t l1_misses_ = 0;
 };

@@ -493,12 +493,7 @@ void KeyedCounterStore::FireRecord(uint32_t idx) {
     pool_.Expire(&v.sumsq, now);
     pool_.Expire(&v.nevents, now);
   }
-  bool evict = rec.sum.count == 0;
-  if (!evict && config_.evict_threshold > 0 &&
-      static_cast<double>(rec.sum.total) < config_.evict_threshold) {
-    evict = true;
-  }
-  if (evict) {
+  if (rec.sum.count == 0) {
     EvictRecord(idx, now);
     return;
   }

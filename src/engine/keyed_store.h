@@ -28,9 +28,9 @@
 //   * Sketch-guarded admission — unknown keys get exact counters only
 //     when the resident EcmSketch estimates them at or above
 //     `admit_threshold` (batched through FlagHeavyKeysAt / the PR-7
-//     row-major kernels); keys that cool below `evict_threshold` are
-//     evicted back to sketch-only coverage on wheel expiry, so memory
-//     is bounded by the hot-set budget (`max_keys`), not the universe.
+//     row-major kernels); keys whose window empties are evicted back
+//     to sketch-only coverage on wheel expiry, so memory is bounded by
+//     the hot-set budget (`max_keys`), not the universe.
 //
 // Determinism contract (what the oracle-differential test leans on): for
 // admitted keys, every answer is bit-identical to a plain per-key
@@ -217,10 +217,6 @@ struct KeyedStoreConfig {
   /// <= 0 admits everything the capacity allows. Ignored when the store
   /// has no sketch.
   double admit_threshold = 0.0;
-  /// A resident key whose bucket total falls below this on wheel expiry
-  /// is evicted back to sketch-only coverage. <= 0 evicts only keys
-  /// whose window emptied entirely.
-  double evict_threshold = 0.0;
   /// Also maintain per-key sum-of-squares + event-count histograms so
   /// TryVarianceQuery works (3x the counter memory for tracked keys).
   bool track_variance = false;
@@ -275,7 +271,7 @@ class KeyedCounterStore {
   void AddBatch(const StreamEvent* events, size_t n);
 
   /// Advances the store clock: fires due wheel entries, expiring idle
-  /// keys' buckets and evicting the ones that cooled off. Called
+  /// keys' buckets and evicting the ones whose window emptied. Called
   /// implicitly by Add/AddBatch; call directly to reclaim memory during
   /// ingest gaps.
   void Advance(Timestamp now);

@@ -1,14 +1,15 @@
 // Property tests for the dyadic stack beyond the basics of
 // dyadic_test.cc: range-sum additivity, quantile monotonicity and
 // inverse consistency on skewed key distributions, window-sliding
-// behaviour of ranges, and the paper's bounds (Theorem 5 completeness,
-// the decomposition's additive range error) on a stack with exact top
-// levels.
+// behaviour of ranges, and the paper's bounds (Theorem 5 completeness and
+// soundness, the decomposition's additive range error) on a stack with
+// exact top levels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "src/core/dyadic.h"
@@ -166,6 +167,34 @@ TEST(DyadicBoundTest, Theorem5ReportsEveryHeavyKey) {
                                     << " count " << count;
     }
     EXPECT_GT(heavy, 0) << "phi " << phi;
+  }
+}
+
+// Theorem 5's soundness side: Count-Min only overestimates, so a light
+// key can pass the φ threshold, but w.h.p. no reported key's true count
+// is below (φ − ε)·‖a_r‖₁ (φ ≤ ½). Every φ here exceeds ε, the regime
+// where the ratio form separates heavy keys from light ones.
+TEST(DyadicBoundTest, Theorem5ReportsNoLightKey) {
+  constexpr double kEpsilon = 0.02;
+  const EcmConfig cfg = WideConfig(kEpsilon, 29);
+  DyadicEcm<ExponentialHistogram> dyadic(kWideBits, cfg);
+  ASSERT_LT(dyadic.sketch_levels(), kWideBits);  // exact levels in play
+  const auto events = WideZipfTrace(31);
+  for (const auto& e : events) dyadic.Add(e.key, e.ts);
+  const Timestamp now = events.back().ts;
+  const auto exact = ComputeExactRangeStats(events, now, kWideWindow);
+  const std::map<uint64_t, uint64_t> truth(exact.freqs.begin(),
+                                           exact.freqs.end());
+  for (double phi : {0.03, 0.05, 0.1}) {
+    const auto hitters = dyadic.HeavyHitters(phi, kWideWindow);
+    EXPECT_FALSE(hitters.empty()) << "phi " << phi;
+    for (const auto& h : hitters) {
+      const auto it = truth.find(h.key);
+      const double count =
+          it == truth.end() ? 0.0 : static_cast<double>(it->second);
+      EXPECT_GE(count, (phi - kEpsilon) * static_cast<double>(exact.l1))
+          << "phi " << phi << " key " << h.key << " estimate " << h.estimate;
+    }
   }
 }
 

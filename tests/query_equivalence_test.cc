@@ -10,7 +10,8 @@
 //    serialization round-trips and §5.2 k-way merges;
 //  * EcmSketch::InnerProduct/SelfJoin/EstimateL1 batched paths vs the
 //    per-cell double-Estimate loops — bit-identical (same values, same
-//    accumulation order), plus L1 memoization invalidation on update;
+//    accumulation order), plus the L1's reads and refills of the
+//    cell-estimate table;
 //  * EcmSketch::PointQueryBatchAt vs the per-cell oracle, on both sides
 //    of the n = width cutover at which a batch fills the cell-estimate
 //    table, with the table cold and warm;
@@ -304,39 +305,60 @@ TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyAcrossSweepCutover) {
   }
 }
 
-TEST(QueryEquivalenceTest, EstimateL1LruCoversInterleavedRanges) {
-  // PR-4's single-entry memo thrashed when a dashboard interleaved two
-  // range ladders; the LRU must serve every ladder position from cache.
+TEST(QueryEquivalenceTest, EstimateL1ReadsTheCellTable) {
+  // The windowed L1 is the cell-estimate table's sum over the depth: an
+  // L1 read at the table's (now, range) is a hit whichever whole-sketch
+  // read filled the table, and a read at any other range refills it.
   Timestamp now = 0;
   EcmEh sketch = MakeLoadedSketch(71, &now);
-  const uint64_t ladder[] = {50, 200, 800, 1600, 2400, kWindow};
-  auto stats0 = sketch.l1_cache_stats();
-  for (uint64_t range : ladder) sketch.EstimateL1At(range, now);
-  auto stats1 = sketch.l1_cache_stats();
-  EXPECT_EQ(stats1.misses - stats0.misses, 6u);
-  EXPECT_EQ(stats1.hits, stats0.hits);
-  // Interleaved re-probing of all six (now, range) pairs: pure hits.
-  for (int rep = 0; rep < 10; ++rep) {
-    for (uint64_t range : ladder) sketch.EstimateL1At(range, now);
-  }
-  auto stats2 = sketch.l1_cache_stats();
-  EXPECT_EQ(stats2.misses, stats1.misses);
-  EXPECT_EQ(stats2.hits - stats1.hits, 60u);
-  // Any update invalidates every cached entry.
-  sketch.Add(3, now + 1, 5);
-  sketch.EstimateL1At(kWindow, now + 1);
-  auto stats3 = sketch.l1_cache_stats();
-  EXPECT_EQ(stats3.misses, stats2.misses + 1);
-  // Cached values are the recomputed ones.
-  double cached = sketch.EstimateL1At(kWindow, now + 1);
-  double recomputed = 0.0;
+  const EcmEh& frozen = sketch;  // const CounterAt: no version bump
   const EcmConfig& cfg = sketch.config();
-  for (int j = 0; j < cfg.depth; ++j) {
-    for (uint32_t i = 0; i < cfg.width; ++i) {
-      recomputed += sketch.CounterAt(j, i).Estimate(now + 1, kWindow);
+  auto reference = [&](uint64_t range) {
+    double total = 0.0;
+    for (int j = 0; j < cfg.depth; ++j) {
+      for (uint32_t i = 0; i < cfg.width; ++i) {
+        total += frozen.CounterAt(j, i).Estimate(now, range);
+      }
     }
+    return total / cfg.depth;
+  };
+  auto expect_l1 = [&](uint64_t range, bool hit, const char* after) {
+    SCOPED_TRACE(after);
+    const auto before = sketch.l1_cache_stats();
+    EXPECT_EQ(sketch.EstimateL1At(range, now), reference(range));
+    const auto stats = sketch.l1_cache_stats();
+    EXPECT_EQ(stats.hits - before.hits, hit ? 1u : 0u);
+    EXPECT_EQ(stats.misses - before.misses, hit ? 0u : 1u);
+  };
+  const uint64_t ladder[] = {50, 800, kWindow};
+  for (uint64_t range : ladder) {
+    expect_l1(range, false, "another range");
+    for (int rep = 0; rep < 3; ++rep) expect_l1(range, true, "repeat");
   }
-  EXPECT_EQ(cached, recomputed / cfg.depth);
+  expect_l1(ladder[0], false, "an earlier range");
+
+  // Each whole-sketch read at a fresh range fills the table; the L1 at
+  // that range then reads it. A batch below `width` keys fills nothing.
+  std::vector<uint64_t> keys(cfg.width);
+  for (size_t k = 0; k < keys.size(); ++k) keys[k] = k * 7;
+  std::vector<double> out(cfg.width);
+  uint64_t range = 300;
+  ASSERT_EQ(sketch.Now(), now);
+  (void)sketch.SelfJoin(++range);
+  expect_l1(range, true, "SelfJoin");
+  sketch.EstimateRowAt(cfg.depth - 1, ++range, now, out.data());
+  expect_l1(range, true, "EstimateRowAt");
+  sketch.PointQueryBatchAt(keys.data(), keys.size(), ++range, now,
+                           out.data());
+  expect_l1(range, true, "a batch of width keys");
+  sketch.PointQueryBatchAt(keys.data(), keys.size() - 1, ++range, now,
+                           out.data());
+  expect_l1(range, false, "a batch below width");
+
+  // An update invalidates the table and its sum.
+  sketch.Add(3, ++now, 5);
+  expect_l1(range, false, "Add");
+  expect_l1(range, true, "repeat after Add");
 }
 
 // The range query of one aligned dyadic block: it decomposes to that one

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pin the e2ebench query loop and digest every answer it produces.
 
-A change to the query read path (the cell-estimate table, the L1 memo, the
+A change to the query read path (the cell-estimate table and its L1 sum, the
 dyadic descent) must leave every answer bit-identical. This script patches
 a *copy* of a source tree (src/, e2ebench/, CMakeLists.txt and
 BENCHMARK.json copied into DIR) so that the `query` workload:
