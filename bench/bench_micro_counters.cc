@@ -202,10 +202,10 @@ BENCHMARK(BM_EcmSelfJoin)->Arg(1000)->Arg(kWindow);
 
 // --- SIMD hash kernel tiers ------------------------------------------------
 //
-// Arg(0..1) selects the SimdLevel (0 = scalar, 1 = avx2); a tier
-// the host CPU lacks is skipped. The label carries the tier name so JSON
-// rows stay readable. Each benchmark forces the tier for its timed
-// section only and restores auto dispatch afterwards.
+// Arg(0..1) selects the SimdLevel (0 = scalar, 1 = avx2) of the batch
+// kernels, called through HashKernelsFor; a tier the host CPU lacks is
+// skipped. The label carries the tier name so JSON rows stay readable.
+// The per-key bucket walk is one inline scalar loop, so it has no tiers.
 
 constexpr size_t kHashKeys = 4096;
 constexpr int kHashDepth = 3;
@@ -218,24 +218,23 @@ std::vector<uint64_t> HashBenchKeys() {
   return keys;
 }
 
-bool SetupSimdTier(benchmark::State& state, SimdLevel* level) {
-  *level = static_cast<SimdLevel>(state.range(0));
-  if (!SimdLevelSupported(*level)) {
+const internal::HashKernels* SetupSimdTier(benchmark::State& state) {
+  const auto level = static_cast<SimdLevel>(state.range(0));
+  if (level > ActiveSimdLevel()) {
     state.SkipWithError("tier unsupported on this CPU");
-    return false;
+    return nullptr;
   }
-  state.SetLabel(SimdLevelName(*level));
-  return true;
+  state.SetLabel(SimdLevelName(level));
+  return &internal::HashKernelsFor(level);
 }
 
 void BM_Mix64Batch(benchmark::State& state) {
-  SimdLevel level;
-  if (!SetupSimdTier(state, &level)) return;
+  const internal::HashKernels* kernels = SetupSimdTier(state);
+  if (kernels == nullptr) return;
   const std::vector<uint64_t> keys = HashBenchKeys();
   std::vector<uint64_t> out(kHashKeys);
-  const internal::HashKernels& kernels = internal::HashKernelsFor(level);
   for (auto _ : state) {
-    kernels.mix64_batch(keys.data(), kHashKeys, out.data());
+    kernels->mix64_batch(keys.data(), kHashKeys, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -243,42 +242,41 @@ void BM_Mix64Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_Mix64Batch)->Arg(0)->Arg(1);
 
+// All kHashDepth rows of a family, as HashFamily::BucketsRowMajor sweeps.
 void BM_BucketsRowMajor(benchmark::State& state) {
-  SimdLevel level;
-  if (!SetupSimdTier(state, &level)) return;
+  const internal::HashKernels* kernels = SetupSimdTier(state);
+  if (kernels == nullptr) return;
   const std::vector<uint64_t> keys = HashBenchKeys();
-  HashFamily family(42, kHashDepth);
+  std::vector<PairwiseHash> rows;
+  for (int j = 0; j < kHashDepth; ++j) rows.emplace_back(2 * j + 42, 2 * j);
   std::vector<uint64_t> mixed(kHashKeys);
   HashFamily::Mix64Batch(keys.data(), kHashKeys, mixed.data());
   std::vector<uint32_t> cols(kHashKeys * kHashDepth);
-  ForceSimdLevel(level);
   for (auto _ : state) {
-    family.BucketsRowMajor(mixed.data(), kHashKeys, kHashWidth, cols.data());
+    for (int j = 0; j < kHashDepth; ++j) {
+      kernels->buckets_row(rows[j].a(), rows[j].b(), mixed.data(), kHashKeys,
+                           kHashWidth, cols.data() + j * kHashKeys);
+    }
     benchmark::DoNotOptimize(cols.data());
   }
-  ResetSimdLevel();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kHashKeys));
 }
 BENCHMARK(BM_BucketsRowMajor)->Arg(0)->Arg(1);
 
 void BM_BucketsMixed(benchmark::State& state) {
-  SimdLevel level;
-  if (!SetupSimdTier(state, &level)) return;
   const std::vector<uint64_t> keys = HashBenchKeys();
   HashFamily family(42, kHashDepth);
   std::vector<uint32_t> out(kHashDepth);
-  ForceSimdLevel(level);
   size_t i = 0;
   for (auto _ : state) {
     family.BucketsMixed(keys[i], kHashWidth, out.data());
     benchmark::DoNotOptimize(out.data());
     i = (i + 1) % kHashKeys;
   }
-  ResetSimdLevel();
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BucketsMixed)->Arg(0)->Arg(1);
+BENCHMARK(BM_BucketsMixed);
 
 void BM_CountMinAdd(benchmark::State& state) {
   CountMinSketch cm = CountMinSketch::FromErrorBounds(0.05, 0.1, 1);

@@ -4,7 +4,8 @@
 //
 //  * PointQuery throughput (per-call and batched) for ECM-EH/DW, plus
 //    large-frontier batches that fill and read the cell-estimate table;
-//  * the SIMD hash kernels per instruction-set tier;
+//  * the batch hash kernels per instruction-set tier and the per-key
+//    bucket loop;
 //  * SelfJoin and EstimateL1 (batched single-estimate-per-cell path);
 //  * RandomizedWave::Estimate at large retained-run counts;
 //  * dyadic stack adds (exact top levels), the same stack behind a
@@ -124,8 +125,7 @@ double MeasurePointQueries(const EcmSketch<Counter>& sketch,
 template <SlidingWindowCounter Counter>
 double MeasurePointQueriesBatched(const EcmSketch<Counter>& sketch,
                                   const std::vector<StreamEvent>& events,
-                                  size_t queries,
-                                  const char* row_suffix = "") {
+                                  size_t queries) {
   constexpr size_t kBatch = 64;
   std::vector<Probe> probes =
       MakeProbes(sketch.Now(), queries / kBatch, ProbeMode::kMixed);
@@ -143,7 +143,7 @@ double MeasurePointQueriesBatched(const EcmSketch<Counter>& sketch,
   double rate = static_cast<double>(probes.size() * kBatch) /
                 timer.ElapsedSeconds();
   RecordBenchResult(std::string("query/point-batched/ECM-") +
-                        std::string(CounterName<Counter>()) + row_suffix,
+                        std::string(CounterName<Counter>()),
                     rate, 0.0);
   return rate;
 }
@@ -185,17 +185,19 @@ double MeasureLargeFrontier(const EcmSketch<Counter>& sketch, size_t frontier,
 
 // --- SIMD hash kernels: per-tier rates -------------------------------------
 
-// The PR-7 hot kernels in isolation, one row per instruction-set tier
-// (skipping tiers the CPU lacks): the batched Mix64 pass, the
-// key-parallel row fill (the kernel under every batched point query),
-// and the row-parallel single-key walk (the kernel under Add /
-// PointQueryAt). Rates are keys (buckets) per second; the acceptance
-// floor is vector >= 1.5x scalar on this machine's recorded rows.
+// The hash paths in isolation. The two batch kernels get one row per
+// instruction-set tier the CPU runs, called through HashKernelsFor: the
+// batched Mix64 pass and the key-parallel row fill (the kernel under every
+// batched point query), here over all 3 rows of a family as in
+// BucketsRowMajor. The per-key walk under Add / PointQueryAt is one inline
+// scalar loop, so it gets one row. Rates are keys (buckets) per second.
 void MeasureHashKernels(size_t iters) {
   constexpr size_t kN = 4096;
   constexpr int kDepth = 3;     // d for the (0.1, 0.1) bench configs
   constexpr uint32_t kW = 54;   // matching width
   HashFamily family(/*seed=*/7, kDepth);
+  std::vector<PairwiseHash> rows;
+  for (int j = 0; j < kDepth; ++j) rows.emplace_back(2 * j + 7, 2 * j + 8);
   Rng rng(21);
   std::vector<uint64_t> keys(kN), mixed(kN);
   for (auto& k : keys) k = rng.Next();
@@ -207,10 +209,9 @@ void MeasureHashKernels(size_t iters) {
       "SIMD hash kernels (keys/second per tier; row-major fill is "
       "per-key over all 3 rows)",
       {"kernel", "tier", "rate", "vs scalar"});
-  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAVX2};
-  double mix_scalar = 0.0, row_scalar = 0.0, one_scalar = 0.0;
-  for (SimdLevel level : kLevels) {
-    if (!SimdLevelSupported(level)) continue;
+  double mix_scalar = 0.0, row_scalar = 0.0;
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAVX2}) {
+    if (level > ActiveSimdLevel()) continue;
     const char* tier = SimdLevelName(level);
     const auto& kernels = internal::HashKernelsFor(level);
     {
@@ -227,38 +228,32 @@ void MeasureHashKernels(size_t iters) {
                 FormatDouble(mix_scalar > 0 ? rate / mix_scalar : 1.0, 2)});
     }
     {
-      ForceSimdLevel(level);
       Timer timer;
       for (size_t i = 0; i < reps; ++i) {
-        family.BucketsRowMajor(mixed.data(), kN, kW, cols.data());
+        for (int j = 0; j < kDepth; ++j) {
+          kernels.buckets_row(rows[j].a(), rows[j].b(), mixed.data(), kN, kW,
+                              cols.data() + j * kN);
+        }
         g_sink += cols[i % (kN * kDepth)];
       }
       double rate = static_cast<double>(reps * kN) / timer.ElapsedSeconds();
-      ResetSimdLevel();
       if (level == SimdLevel::kScalar) row_scalar = rate;
       RecordBenchResult(std::string("query/hash/buckets-row-major/") + tier,
                         rate, 0.0);
       PrintRow({"buckets-row-major", tier, FormatDouble(rate, 0),
                 FormatDouble(row_scalar > 0 ? rate / row_scalar : 1.0, 2)});
     }
-    {
-      ForceSimdLevel(level);
-      uint32_t out[kMaxSketchDepth];
-      Timer timer;
-      for (size_t i = 0; i < reps; ++i) {
-        for (size_t k = 0; k < kN; ++k) {
-          family.BucketsMixed(keys[k], kW, out);
-        }
-        g_sink += out[0];
-      }
-      double rate = static_cast<double>(reps * kN) / timer.ElapsedSeconds();
-      ResetSimdLevel();
-      if (level == SimdLevel::kScalar) one_scalar = rate;
-      RecordBenchResult(std::string("query/hash/buckets-mixed/") + tier, rate,
-                        0.0);
-      PrintRow({"buckets-mixed", tier, FormatDouble(rate, 0),
-                FormatDouble(one_scalar > 0 ? rate / one_scalar : 1.0, 2)});
+  }
+  {
+    uint32_t out[kMaxSketchDepth];
+    Timer timer;
+    for (size_t i = 0; i < reps; ++i) {
+      for (size_t k = 0; k < kN; ++k) family.BucketsMixed(keys[k], kW, out);
+      g_sink += out[0];
     }
+    double rate = static_cast<double>(reps * kN) / timer.ElapsedSeconds();
+    RecordBenchResult("query/hash/buckets-mixed/scalar", rate, 0.0);
+    PrintRow({"buckets-mixed", "scalar", FormatDouble(rate, 0), "-"});
   }
 }
 
@@ -450,16 +445,6 @@ void Run() {
   double dw_pq = MeasurePointQueries(*dw, events, kQ);
   double dw_pqb = MeasurePointQueriesBatched(*dw, events, kQ);
   PrintRow({"ECM-DW", FormatDouble(dw_pq, 0), FormatDouble(dw_pqb, 0)});
-  // End-to-end SIMD dispatch ablation: the identical batched loop with
-  // the hash kernels pinned to the scalar tier (what ECM_SIMD=scalar or a
-  // non-x86 build runs); the auto row above carries the vector tier.
-  if (ForceSimdLevel(SimdLevel::kScalar)) {
-    double eh_pqb_scalar =
-        MeasurePointQueriesBatched(*eh, events, kQ, "/forced-scalar");
-    ResetSimdLevel();
-    PrintRow({"ECM-EH (scalar kernels)", "-",
-              FormatDouble(eh_pqb_scalar, 0)});
-  }
 
   MeasureHashKernels(kQ * 8);
 

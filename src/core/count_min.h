@@ -1,8 +1,8 @@
 // Count-Min sketch (Cormode & Muthukrishnan, J. Algorithms 2005) over
 // full-history streams — the conventional-stream substrate the ECM-sketch
-// builds on (paper §3), used directly by the geometric-method monitor as
-// the extracted "statistics vector" representation, and as the linear
-// baseline in tests.
+// builds on (paper §3). The library's sketches and the geometric monitor
+// use EcmSketch instead; this class stays as the linear baseline that
+// count_min_test checks and bench_micro_counters' BM_CountMinAdd times.
 //
 // Guarantees with w = ceil(e/ε), d = ceil(ln(1/δ)): a point query
 // overestimates by at most ε‖a‖₁ with probability >= 1-δ; analogous bounds
@@ -55,8 +55,7 @@ class CountMinSketch {
   int depth() const { return depth_; }
   uint64_t seed() const { return hashes_.seed(); }
 
-  /// Raw counter access (row-major), used by the geometric monitor which
-  /// treats rows as vectors.
+  /// Raw counter access (row-major).
   uint64_t counter(int row, uint32_t col) const {
     return table_[static_cast<size_t>(row) * width_ + col];
   }

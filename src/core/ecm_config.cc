@@ -19,37 +19,9 @@ double PointSplitRandomizedCm(double epsilon) {
   return (3.0 * epsilon - root + 3.0) / (epsilon + root + 1.0);
 }
 
-namespace {
-
-// ε_cm implied by the Theorem-2 (self-join) constraint for a given ε_sw.
-double SelfJoinCm(double epsilon, double esw) {
-  return (epsilon - esw * esw - 2.0 * esw) / ((1.0 + esw) * (1.0 + esw));
-}
-
-}  // namespace
-
 double SelfJoinSplitSw(double epsilon) {
-  // Memory ∝ 1/(ε_sw·ε_cm); minimize over the feasible ε_sw range
-  // (0, √(1+ε)−1) where ε_cm stays positive. The objective is unimodal —
-  // ternary search converges to the paper's closed-form Cardano root.
-  double lo = 1e-9;
-  double hi = std::sqrt(1.0 + epsilon) - 1.0 - 1e-9;
-  for (int iter = 0; iter < 200; ++iter) {
-    double m1 = lo + (hi - lo) / 3.0;
-    double m2 = hi - (hi - lo) / 3.0;
-    double f1 = 1.0 / (m1 * SelfJoinCm(epsilon, m1));
-    double f2 = 1.0 / (m2 * SelfJoinCm(epsilon, m2));
-    if (f1 < f2) {
-      hi = m2;
-    } else {
-      lo = m1;
-    }
-  }
-  return (lo + hi) / 2.0;
-}
-
-double SelfJoinSplitSwClosedForm(double epsilon) {
-  // Minimizing 1/(s·ε_cm(s)) under the Theorem-2 constraint yields the
+  // Memory ∝ 1/(ε_sw·ε_cm) under the Theorem-2 constraint
+  // ε_cm = (ε − s² − 2s)/(1+s)². Minimizing 1/(s·ε_cm(s)) yields the
   // cubic s³ + 3s² + (4+ε)s − ε = 0; substituting s = y − 1 depresses it
   // to y³ + (1+ε)y − 2(1+ε) = 0, whose Cardano solution is the paper's
   // closed form (§4.1; note 28+57ε+30ε²+ε³ = (1+ε)²(28+ε)).

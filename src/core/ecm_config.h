@@ -85,16 +85,12 @@ double PointSplitDeterministic(double epsilon);
 double PointSplitRandomizedSw(double epsilon);
 double PointSplitRandomizedCm(double epsilon);
 
-/// Self-join split (Theorem 2 constraint), deterministic memory model.
-/// Returns ε_sw; ε_cm = (ε − ε_sw² − 2ε_sw) / (1+ε_sw)².
-double SelfJoinSplitSw(double epsilon);
-
-/// The paper's closed-form (Cardano) expression for the self-join split:
+/// Self-join split (Theorem 2 constraint), deterministic memory model:
+/// the paper's closed-form (Cardano) minimizer of 1/(ε_sw·ε_cm),
 ///   ε_sw = −1 − (1+ε)·3^(1/3)/A + A/3^(2/3),
 ///   A = (9+9ε + √3·√(28+57ε+30ε²+ε³))^(1/3).
-/// Provided for cross-checking; agrees with SelfJoinSplitSw (the numeric
-/// minimizer) to ~1e-9 — see ecm_config_test.cc.
-double SelfJoinSplitSwClosedForm(double epsilon);
+/// Returns ε_sw; ε_cm = (ε − ε_sw² − 2ε_sw) / (1+ε_sw)².
+double SelfJoinSplitSw(double epsilon);
 
 }  // namespace ecm
 

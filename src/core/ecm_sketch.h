@@ -181,8 +181,8 @@ class EcmSketch {
     last_ts_ = use_ts;
     l1_lifetime_ += count;
     ++version_;
-    // One-pass hashing: mix the key once, derive all d row buckets
-    // (SIMD-dispatched), then prefetch every touched counter before the
+    // One-pass hashing: mix the key once, derive all d row buckets in the
+    // inline scalar loop, then prefetch every touched counter before the
     // first Add — the d slots live one row-stride apart, so without the
     // prefetch each row's update eats a serial cache miss.
     uint32_t cols[kMaxSketchDepth];

@@ -17,9 +17,10 @@ constexpr uint8_t kConfigWireVersion = 2;
 
 // Upper bounds accepted from the wire. Real configs are far below these
 // (width = ceil(e/ε_cm), depth = ceil(ln 1/δ_cm)); the caps exist so a
-// corrupt dimension field cannot request a multi-gigabyte allocation.
+// corrupt dimension field cannot request a multi-gigabyte allocation. The
+// depth cap is kMaxSketchDepth (util/hash.h), the most rows the sketch's
+// one-pass update path fills.
 constexpr uint64_t kMaxWidth = 1u << 22;
-constexpr int kMaxDepth = 64;
 constexpr uint64_t kMaxCounters = 1u << 22;
 
 // Field domains accepted from the wire. epsilon_sw / delta_sw flow into
@@ -141,7 +142,7 @@ Result<EcmConfig> DeserializeEcmConfig(ByteReader* r) {
   auto depth = r->GetVarint();
   if (!depth.ok()) return depth.status();
   if (*width == 0 || *width > kMaxWidth || *depth == 0 ||
-      *depth > static_cast<uint64_t>(kMaxDepth) ||
+      *depth > static_cast<uint64_t>(kMaxSketchDepth) ||
       *width * *depth > kMaxCounters) {
     return Status::Corruption("config: implausible sketch dimensions");
   }

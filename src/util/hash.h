@@ -8,9 +8,12 @@
 //
 // Update-path layout: a sketch Add/PointQuery needs all d row buckets of
 // one key. BucketsMixed computes the Mix64 step once and derives every
-// row's bucket from the shared mixed word, and the bucket reduction uses
-// Lemire's multiply-shift fast range instead of a hardware divide. The
-// reduction is versioned (HashReduction) because changing it re-maps every
+// row's bucket from the shared mixed word in an inline scalar loop: x86-64
+// multiplies 64x64->128 in one instruction, and a 4-lane AVX2 walk over the
+// d = 3..5 rows of practical configs measured slower. Only the batch shapes
+// (Mix64Batch, BucketsRowMajor) go through the vector kernels. The bucket
+// reduction uses Lemire's multiply-shift fast range instead of a hardware
+// divide. It is versioned (HashReduction) because changing it re-maps every
 // key: serialized sketches record it, and a decoder rejects any version
 // but the one reduction the library implements instead of misreading the
 // buckets. Two sketches agree on bucket placement iff they share seed and
@@ -87,7 +90,18 @@ class PairwiseHash {
   static constexpr uint64_t kMersenne61 = (1ULL << 61) - 1;
 
   /// (x * y) mod (2^61 - 1) without overflow, using 128-bit products.
-  static uint64_t MulModMersenne61(uint64_t x, uint64_t y);
+  static uint64_t MulModMersenne61(uint64_t x, uint64_t y) {
+    __uint128_t prod = static_cast<__uint128_t>(x) * y;
+    // Two folding rounds reduce any 128-bit product exactly mod 2^61-1.
+    // One round is not enough for full 64-bit operands (e.g. Mix64
+    // outputs): the first fold can leave up to 65 bits, which a single
+    // conditional subtraction cannot bring below the modulus.
+    __uint128_t folded = (prod & kMersenne61) + (prod >> 61);
+    uint64_t sum =
+        static_cast<uint64_t>((folded & kMersenne61) + (folded >> 61));
+    if (sum >= kMersenne61) sum -= kMersenne61;
+    return sum;
+  }
 
  private:
   uint64_t a_;  // in [1, p)
@@ -113,22 +127,18 @@ class HashFamily {
   }
 
   /// One-pass bucket computation: mixes `key` once and fills
-  /// `out[0..depth)` with every row's bucket in [0, width) through the
-  /// SIMD-dispatched row-parallel kernel. `out` must have room for
-  /// depth() entries (kMaxSketchDepth always suffices).
+  /// `out[0..depth)` with every row's bucket in [0, width). `out` must
+  /// have room for depth() entries (kMaxSketchDepth always suffices).
   void BucketsMixed(uint64_t key, uint32_t width, uint32_t* out) const {
-    BucketsForMixed(Mix64(key), width, out);
+    const uint64_t mixed = Mix64(key);
+    for (size_t j = 0; j < funcs_.size(); ++j) {
+      out[j] = PairwiseHash::Reduce(funcs_[j].RawMixed(mixed), width);
+    }
   }
 
-  /// BucketsMixed for a key that is already Mix64-ed — the shape batched
-  /// callers use after one Mix64Batch pass over all keys.
-  void BucketsForMixed(uint64_t mixed, uint32_t width, uint32_t* out) const {
-    internal::ActiveHashKernels().buckets_mixed(
-        coeff_a_.data(), coeff_b_.data(), funcs_.size(), mixed, width, out);
-  }
-
-  /// out[k] = Mix64(keys[k]) for k in [0, n), SIMD-dispatched — the shared
-  /// mixing pass in front of BucketsForMixed / BucketsRowMajor.
+  /// out[k] = Mix64(keys[k]) for k in [0, n) through the vector kernel
+  /// picked at startup — the shared mixing pass in front of
+  /// BucketsRowMajor.
   static void Mix64Batch(const uint64_t* keys, size_t n, uint64_t* out) {
     internal::ActiveHashKernels().mix64_batch(keys, n, out);
   }
@@ -149,18 +159,9 @@ class HashFamily {
     return seed_ == other.seed_ && funcs_.size() == other.funcs_.size();
   }
 
-  /// The SoA coefficient arrays are padded to a multiple of this many
-  /// entries so the vector kernels may always load a full vector at any
-  /// in-range row (lanes past depth() are computed and discarded).
-  static constexpr size_t kCoeffPad = 8;
-
  private:
   uint64_t seed_ = 0;
   std::vector<PairwiseHash> funcs_;
-  // funcs_[i].a()/b() duplicated as padded structure-of-arrays so the
-  // row-parallel kernel loads coefficients contiguously.
-  std::vector<uint64_t> coeff_a_;
-  std::vector<uint64_t> coeff_b_;
 };
 
 }  // namespace ecm

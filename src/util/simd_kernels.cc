@@ -4,9 +4,9 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
-#define ECM_SIMD_X64 1
+#define ECM_KERNELS_X64 1
 #else
-#define ECM_SIMD_X64 0
+#define ECM_KERNELS_X64 0
 #endif
 
 namespace ecm::internal {
@@ -33,19 +33,12 @@ void Mix64BatchScalar(const uint64_t* keys, size_t n, uint64_t* out) {
   for (size_t k = 0; k < n; ++k) out[k] = Mix64(keys[k]);
 }
 
-void BucketsMixedScalar(const uint64_t* a, const uint64_t* b, size_t d,
-                        uint64_t mixed, uint32_t width, uint32_t* out) {
-  for (size_t j = 0; j < d; ++j) {
-    out[j] = ScalarBucket(a[j], b[j], mixed, width);
-  }
-}
-
 void BucketsRowScalar(uint64_t a, uint64_t b, const uint64_t* mixed, size_t n,
                       uint32_t width, uint32_t* out) {
   for (size_t k = 0; k < n; ++k) out[k] = ScalarBucket(a, b, mixed[k], width);
 }
 
-#if ECM_SIMD_X64
+#if ECM_KERNELS_X64
 
 // ---------------------------------------------------------------------------
 // Shared lane math
@@ -160,32 +153,6 @@ __attribute__((target("avx2"))) void Mix64BatchAvx2(const uint64_t* keys,
   for (; k < n; ++k) out[k] = Mix64(keys[k]);
 }
 
-__attribute__((target("avx2"))) void BucketsMixedAvx2(
-    const uint64_t* a, const uint64_t* b, size_t d, uint64_t mixed,
-    uint32_t width, uint32_t* out) {
-  const __m256i m = _mm256_set1_epi64x(static_cast<int64_t>(mixed));
-  const __m256i widthv = _mm256_set1_epi64x(static_cast<int64_t>(width));
-  size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-    __m256i bv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    Store4Lanes(BucketLanesAvx2(av, bv, m, widthv), out + j);
-  }
-  if (j < d) {
-    // Tail rows: the coefficient arrays are padded (HashFamily::kCoeffPad)
-    // so the full-vector loads stay in bounds; only d - j lanes are kept.
-    __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-    __m256i bv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    uint32_t tail[4];
-    Store4Lanes(BucketLanesAvx2(av, bv, m, widthv), tail);
-    for (size_t x = 0; j < d; ++j, ++x) out[j] = tail[x];
-  }
-}
-
 __attribute__((target("avx2"))) void BucketsRowAvx2(uint64_t a, uint64_t b,
                                                     const uint64_t* mixed,
                                                     size_t n, uint32_t width,
@@ -212,19 +179,17 @@ __attribute__((target("avx2"))) void BucketsRowAvx2(uint64_t a, uint64_t b,
   for (; k < n; ++k) out[k] = ScalarBucket(a, b, mixed[k], width);
 }
 
-#endif  // ECM_SIMD_X64
+#endif  // ECM_KERNELS_X64
 
-constexpr HashKernels kScalarKernels = {Mix64BatchScalar, BucketsMixedScalar,
-                                        BucketsRowScalar};
-#if ECM_SIMD_X64
-constexpr HashKernels kAvx2Kernels = {Mix64BatchAvx2, BucketsMixedAvx2,
-                                      BucketsRowAvx2};
+constexpr HashKernels kScalarKernels = {Mix64BatchScalar, BucketsRowScalar};
+#if ECM_KERNELS_X64
+constexpr HashKernels kAvx2Kernels = {Mix64BatchAvx2, BucketsRowAvx2};
 #endif
 
 }  // namespace
 
 const HashKernels& HashKernelsFor(SimdLevel level) {
-#if ECM_SIMD_X64
+#if ECM_KERNELS_X64
   switch (level) {
     case SimdLevel::kAVX2:
       return kAvx2Kernels;
@@ -235,6 +200,11 @@ const HashKernels& HashKernelsFor(SimdLevel level) {
   (void)level;
 #endif
   return kScalarKernels;
+}
+
+const HashKernels& ActiveHashKernels() {
+  static const HashKernels& kernels = HashKernelsFor(ActiveSimdLevel());
+  return kernels;
 }
 
 }  // namespace ecm::internal

@@ -1,6 +1,6 @@
-// Hand-vectorized hash kernels behind the runtime SIMD dispatch.
+// Hand-vectorized batch hash kernels behind the runtime SIMD dispatch.
 //
-// All three kernels implement exact 61-bit Carter–Wegman arithmetic
+// Both kernels implement exact 61-bit Carter–Wegman arithmetic
 // (util/hash.h) with integer SIMD, so every tier is bit-identical to the
 // scalar reference — the property the sketch depends on, since bucket
 // placement is part of a sketch's identity.
@@ -19,19 +19,11 @@
 
 namespace ecm::internal {
 
-/// The three hash hot kernels, as one dispatch table.
+/// The two batch hash kernels, as one dispatch table.
 struct HashKernels {
   /// out[k] = Mix64(keys[k]) for k in [0, n) — the shared per-key mixing
   /// pass of every batched sketch query.
   void (*mix64_batch)(const uint64_t* keys, size_t n, uint64_t* out);
-
-  /// Row-parallel one-key walk: out[j] = FastRange(RawMixed(a[j], b[j],
-  /// mixed), width) for j in [0, d). `a`/`b` are the hash family's SoA
-  /// coefficient arrays, padded so full-vector loads at any j < d are in
-  /// bounds (HashFamily::kCoeffPad); exactly d entries of `out` are
-  /// written.
-  void (*buckets_mixed)(const uint64_t* a, const uint64_t* b, size_t d,
-                        uint64_t mixed, uint32_t width, uint32_t* out);
 
   /// Key-parallel one-row sweep: out[k] = FastRange(RawMixed(a, b,
   /// mixed[k]), width) for k in [0, n) — the fill kernel of the row-major
@@ -40,13 +32,12 @@ struct HashKernels {
                       size_t n, uint32_t width, uint32_t* out);
 };
 
-/// The kernel table for one tier (callable only if SimdLevelSupported).
+/// The kernel table for one tier. Callable only for a tier the CPU runs,
+/// i.e. `level <= ActiveSimdLevel()`.
 const HashKernels& HashKernelsFor(SimdLevel level);
 
-/// The kernel table dispatch resolves to right now.
-inline const HashKernels& ActiveHashKernels() {
-  return HashKernelsFor(ActiveSimdLevel());
-}
+/// The kernel table of ActiveSimdLevel(), resolved once.
+const HashKernels& ActiveHashKernels();
 
 }  // namespace ecm::internal
 
