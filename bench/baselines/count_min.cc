@@ -1,4 +1,4 @@
-#include "src/core/count_min.h"
+#include "bench/baselines/count_min.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,15 +1,16 @@
 // Count-Min sketch (Cormode & Muthukrishnan, J. Algorithms 2005) over
 // full-history streams — the conventional-stream substrate the ECM-sketch
 // builds on (paper §3). The library's sketches and the geometric monitor
-// use EcmSketch instead; this class stays as the linear baseline that
-// count_min_test checks and bench_micro_counters' BM_CountMinAdd times.
+// use EcmSketch instead, so this class is not part of the library: it is
+// the linear baseline of the ecm_baselines library, which count_min_test
+// checks and bench_micro_counters' BM_CountMinAdd times.
 //
 // Guarantees with w = ceil(e/ε), d = ceil(ln(1/δ)): a point query
 // overestimates by at most ε‖a‖₁ with probability >= 1-δ; analogous bounds
 // hold for inner products and range sums.
 
-#ifndef ECM_CORE_COUNT_MIN_H_
-#define ECM_CORE_COUNT_MIN_H_
+#ifndef ECM_BENCH_BASELINES_COUNT_MIN_H_
+#define ECM_BENCH_BASELINES_COUNT_MIN_H_
 
 #include <cstdint>
 #include <vector>
@@ -83,4 +84,4 @@ class CountMinSketch {
 
 }  // namespace ecm
 
-#endif  // ECM_CORE_COUNT_MIN_H_
+#endif  // ECM_BENCH_BASELINES_COUNT_MIN_H_

@@ -1,4 +1,4 @@
-#include "src/window/equiwidth_window.h"
+#include "bench/baselines/equiwidth_window.h"
 
 #include <algorithm>
 #include <cassert>

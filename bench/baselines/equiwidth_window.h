@@ -14,8 +14,8 @@
 // EquiWidthWindow satisfies SlidingWindowCounter, so the baseline sketch
 // is EcmSketch<EquiWidthWindow>.
 
-#ifndef ECM_WINDOW_EQUIWIDTH_WINDOW_H_
-#define ECM_WINDOW_EQUIWIDTH_WINDOW_H_
+#ifndef ECM_BENCH_BASELINES_EQUIWIDTH_WINDOW_H_
+#define ECM_BENCH_BASELINES_EQUIWIDTH_WINDOW_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -75,4 +75,4 @@ class EquiWidthWindow {
 
 }  // namespace ecm
 
-#endif  // ECM_WINDOW_EQUIWIDTH_WINDOW_H_
+#endif  // ECM_BENCH_BASELINES_EQUIWIDTH_WINDOW_H_

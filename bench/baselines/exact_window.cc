@@ -1,4 +1,4 @@
-#include "src/window/exact_window.h"
+#include "bench/baselines/exact_window.h"
 
 #include <algorithm>
 #include <cassert>

@@ -3,8 +3,8 @@
 // Counter for EcmSketch<ExactWindow> in tests (an ECM-sketch whose only
 // error source is Count-Min collisions).
 
-#ifndef ECM_WINDOW_EXACT_WINDOW_H_
-#define ECM_WINDOW_EXACT_WINDOW_H_
+#ifndef ECM_BENCH_BASELINES_EXACT_WINDOW_H_
+#define ECM_BENCH_BASELINES_EXACT_WINDOW_H_
 
 #include <cstdint>
 #include <deque>
@@ -70,4 +70,4 @@ class ExactWindow {
 
 }  // namespace ecm
 
-#endif  // ECM_WINDOW_EXACT_WINDOW_H_
+#endif  // ECM_BENCH_BASELINES_EXACT_WINDOW_H_

@@ -1,4 +1,4 @@
-#include "src/window/hybrid_histogram.h"
+#include "bench/baselines/hybrid_histogram.h"
 
 #include <algorithm>
 #include <cassert>

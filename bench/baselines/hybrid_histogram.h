@@ -14,8 +14,8 @@
 // Satisfies SlidingWindowCounter, so the baseline sketch is
 // EcmSketch<HybridHistogram>.
 
-#ifndef ECM_WINDOW_HYBRID_HISTOGRAM_H_
-#define ECM_WINDOW_HYBRID_HISTOGRAM_H_
+#ifndef ECM_BENCH_BASELINES_HYBRID_HISTOGRAM_H_
+#define ECM_BENCH_BASELINES_HYBRID_HISTOGRAM_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -93,4 +93,4 @@ class HybridHistogram {
 
 }  // namespace ecm
 
-#endif  // ECM_WINDOW_HYBRID_HISTOGRAM_H_
+#endif  // ECM_BENCH_BASELINES_HYBRID_HISTOGRAM_H_

@@ -18,10 +18,9 @@
 
 #include <cstdio>
 
+#include "bench/baselines/baselines.h"
 #include "bench/bench_common.h"
 #include "src/core/ecm_sketch.h"
-#include "src/window/equiwidth_window.h"
-#include "src/window/hybrid_histogram.h"
 #include "src/util/random.h"
 
 namespace ecm::bench {

@@ -7,8 +7,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "bench/baselines/baselines.h"
 #include "src/core/ecm_sketch.h"
 #include "src/stream/event.h"
 #include "src/stream/generators.h"
@@ -81,6 +84,28 @@ uint64_t ScaledEvents(uint64_t full);
 /// smoke mode, capped at a handful inside it (constructing hundreds of
 /// per-site sketches dominates smoke runtime otherwise).
 uint32_t ScaledSites(uint32_t full);
+
+/// Short counter name used in bench row names ("ECM-EH", ".../EQW/unit").
+/// A counter without a name fails to compile rather than printing a row
+/// no baseline can match.
+template <SlidingWindowCounter C>
+constexpr std::string_view CounterName() {
+  if constexpr (std::is_same_v<C, ExponentialHistogram>) {
+    return "EH";
+  } else if constexpr (std::is_same_v<C, DeterministicWave>) {
+    return "DW";
+  } else if constexpr (std::is_same_v<C, RandomizedWave>) {
+    return "RW";
+  } else if constexpr (std::is_same_v<C, ExactWindow>) {
+    return "EXACT";
+  } else if constexpr (std::is_same_v<C, EquiWidthWindow>) {
+    return "EQW";
+  } else if constexpr (std::is_same_v<C, HybridHistogram>) {
+    return "HYB";
+  } else {
+    static_assert(!std::is_same_v<C, C>, "CounterName: unnamed counter");
+  }
+}
 
 /// Which synthesized trace a bench row uses.
 enum class Dataset { kWc98, kSnmp };

@@ -9,7 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/count_min.h"
+#include "bench/baselines/baselines.h"
+#include "bench/baselines/count_min.h"
 #include "src/core/ecm_sketch.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"

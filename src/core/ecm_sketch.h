@@ -4,8 +4,8 @@
 // high-dimensional stream over time-based or count-based sliding windows.
 //
 // The class is templated on the counter type (exponential histogram by
-// default; deterministic or randomized wave; exact window for testing), so
-// the paper's three variants are:
+// default; deterministic or randomized wave), so the paper's three
+// variants are:
 //
 //     using EcmEh = EcmSketch<ExponentialHistogram>;   // "ECM-EH"
 //     using EcmDw = EcmSketch<DeterministicWave>;      // "ECM-DW"
@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -87,37 +86,6 @@ inline RandomizedWave::Config MakeCounterConfig<RandomizedWave>(
   c.window_len = cfg.window_len;
   c.max_arrivals = cfg.max_arrivals;
   c.seed = cfg.seed;
-  return c;
-}
-
-template <>
-inline ExactWindow::Config MakeCounterConfig<ExactWindow>(
-    const EcmConfig& cfg) {
-  return ExactWindow::Config{cfg.window_len};
-}
-
-/// Equi-width baseline: spend the window-error budget on ring granularity
-/// — B = ceil(1/ε_sw) sub-windows, the natural memory-matched
-/// configuration against an ε_sw exponential histogram.
-template <>
-inline EquiWidthWindow::Config MakeCounterConfig<EquiWidthWindow>(
-    const EcmConfig& cfg) {
-  auto subwindows = static_cast<uint32_t>(
-      std::ceil(1.0 / (cfg.epsilon_sw > 0 ? cfg.epsilon_sw : 0.1)));
-  return EquiWidthWindow::Config{cfg.window_len, subwindows};
-}
-
-/// Hybrid baseline: exact resolution over the most recent 5% of the
-/// window, ε_sw-granular equi-width tail — the natural memory-comparable
-/// configuration against an ε_sw exponential histogram.
-template <>
-inline HybridHistogram::Config MakeCounterConfig<HybridHistogram>(
-    const EcmConfig& cfg) {
-  HybridHistogram::Config c;
-  c.window_len = cfg.window_len;
-  c.exact_len = std::max<uint64_t>(1, cfg.window_len / 20);
-  c.num_subwindows = static_cast<uint32_t>(
-      std::ceil(1.0 / (cfg.epsilon_sw > 0 ? cfg.epsilon_sw : 0.1)));
   return c;
 }
 
@@ -595,11 +563,10 @@ class EcmSketch {
   mutable uint64_t l1_misses_ = 0;
 };
 
-/// The paper's three variants plus the collision-only testing variant.
+/// The paper's three variants.
 using EcmEh = EcmSketch<ExponentialHistogram>;
 using EcmDw = EcmSketch<DeterministicWave>;
 using EcmRw = EcmSketch<RandomizedWave>;
-using EcmExact = EcmSketch<ExactWindow>;
 
 }  // namespace ecm
 

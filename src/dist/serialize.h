@@ -95,7 +95,8 @@ Status DecodeCounter(ByteReader* r, Counter* cell) {
 /// Decodes SerializeSketch bytes into `*out`, in place when it already
 /// holds a sketch of the image's config (a channel receiver's steady
 /// state: no per-cell allocation). Corruption on truncation, checksum
-/// mismatch or any malformed field; never crashes on hostile input. A
+/// mismatch, any malformed field or a counter whose last timestamp is
+/// ahead of the image's clock; never crashes on hostile input. A
 /// failure before the counters leaves `*out` untouched, a later one
 /// empties it.
 template <SlidingWindowCounter Counter>
@@ -114,7 +115,14 @@ Status DeserializeSketchInto(const uint8_t* data, size_t size,
   EcmSketch<Counter>& sketch = **out;
   for (int j = 0; j < cfg->depth; ++j) {
     for (uint32_t i = 0; i < cfg->width; ++i) {
-      Status st = wire_internal::DecodeCounter(&r, &sketch.CounterAt(j, i));
+      Counter& cell = sketch.CounterAt(j, i);
+      Status st = wire_internal::DecodeCounter(&r, &cell);
+      // A sender's clock never trails its cells (Add, AdvanceTo and Merge
+      // all keep Now() >= every cell), and a query at the image's clock
+      // must not read a counter that is ahead of it.
+      if (st.ok() && cell.last_timestamp() > *now) {
+        st = Status::Corruption("sketch counter ahead of the sketch clock");
+      }
       if (!st.ok()) {
         out->reset();
         return st;

@@ -1,21 +1,19 @@
 // The SlidingWindowCounter concept: the contract every window synopsis
-// (exponential histogram, deterministic wave, randomized wave, exact
-// window) satisfies so that EcmSketch<Counter> can be instantiated with any
-// of them with zero virtual-dispatch overhead on the update path.
+// (the paper's exponential histogram, deterministic wave and randomized
+// wave) satisfies so that EcmSketch<Counter> can be instantiated with any
+// of them with zero virtual-dispatch overhead on the update path. The
+// guarantee-free baselines and the exact-window oracle that benches and
+// tests plug into the same concept live in bench/baselines/.
 
 #ifndef ECM_WINDOW_COUNTER_TRAITS_H_
 #define ECM_WINDOW_COUNTER_TRAITS_H_
 
 #include <concepts>
 #include <cstdint>
-#include <string_view>
-#include <type_traits>
+#include <vector>
 
 #include "src/window/deterministic_wave.h"
-#include "src/window/equiwidth_window.h"
-#include "src/window/exact_window.h"
 #include "src/window/exponential_histogram.h"
-#include "src/window/hybrid_histogram.h"
 #include "src/window/randomized_wave.h"
 #include "src/window/window_spec.h"
 
@@ -47,24 +45,8 @@ concept BucketExportingCounter =
 static_assert(SlidingWindowCounter<ExponentialHistogram>);
 static_assert(SlidingWindowCounter<DeterministicWave>);
 static_assert(SlidingWindowCounter<RandomizedWave>);
-static_assert(SlidingWindowCounter<ExactWindow>);
-static_assert(SlidingWindowCounter<EquiWidthWindow>);
-static_assert(SlidingWindowCounter<HybridHistogram>);
 static_assert(BucketExportingCounter<ExponentialHistogram>);
 static_assert(BucketExportingCounter<DeterministicWave>);
-static_assert(BucketExportingCounter<ExactWindow>);
-
-/// Short human-readable counter name used in bench output rows.
-template <typename C>
-constexpr std::string_view CounterName() {
-  if constexpr (std::is_same_v<C, ExponentialHistogram>) return "EH";
-  if constexpr (std::is_same_v<C, DeterministicWave>) return "DW";
-  if constexpr (std::is_same_v<C, RandomizedWave>) return "RW";
-  if constexpr (std::is_same_v<C, ExactWindow>) return "EXACT";
-  if constexpr (std::is_same_v<C, EquiWidthWindow>) return "EQW";
-  if constexpr (std::is_same_v<C, HybridHistogram>) return "HYB";
-  return "?";
-}
 
 }  // namespace ecm
 

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "bench/baselines/baselines.h"
 #include "src/dist/serialize.h"
 #include "src/stream/generators.h"
 #include "src/util/random.h"
@@ -135,6 +142,115 @@ TEST(CorruptionTest, SketchBitFlips) {
       (void)result->SelfJoin(5000);
     }
   }
+}
+
+// A checksum-valid image whose counters are ahead of its clock: a sender
+// never produces one, and a query at the image's clock would count
+// arrivals from its future (or trip the counters' `now >= last_ts`
+// contract).
+TEST(CorruptionTest, SketchCounterAheadOfClockRejected) {
+  auto sketch = EcmEh::Create(0.1, 0.1, WindowMode::kTimeBased, 1000, 8);
+  ASSERT_TRUE(sketch.ok());
+  for (Timestamp t = 1; t <= 5000; ++t) sketch->Add(t % 17, t);
+  sketch->RestoreClock(10, sketch->l1_lifetime());
+  auto bytes = SerializeSketch(*sketch);
+
+  // A receiver holding a sketch of the same config decodes in place; the
+  // rejection must empty it, as every failure among the counters does.
+  std::optional<EcmEh> out(std::in_place, sketch->config());
+  EXPECT_FALSE(DeserializeSketchInto(bytes.data(), bytes.size(), &out).ok());
+  EXPECT_FALSE(out.has_value());
+  auto result = DeserializeSketch<ExponentialHistogram>(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+// Bit flips behind a recomputed checksum: SketchBitFlips almost always
+// stops at the checksum, so this sweep re-wraps each mutated payload and
+// reaches the config, clock and counter parsers. Whatever decodes must
+// answer queries at its own clock.
+template <typename Counter>
+class SketchFieldFlipTest : public ::testing::Test {};
+using FlipCounters =
+    ::testing::Types<ExponentialHistogram, DeterministicWave, RandomizedWave>;
+TYPED_TEST_SUITE(SketchFieldFlipTest, FlipCounters);
+
+// Sketch shape and trial budget per counter, sized for a few seconds
+// under ASan. Deterministic and randomized waves rebuild every cell on
+// decode, and a randomized wave keeps every arrival of its low levels in
+// each of its sub-waves, so they get coarser sketches and fewer trials.
+struct FlipShape {
+  double epsilon, delta;
+  uint64_t max_arrivals;
+  int arrivals;
+  int trials;
+};
+template <typename Counter>
+constexpr FlipShape FlipShapeFor() {
+  if constexpr (std::is_same_v<Counter, ExponentialHistogram>) {
+    return {0.15, 0.2, 1 << 12, 3000, 600};
+  } else if constexpr (std::is_same_v<Counter, DeterministicWave>) {
+    return {0.3, 0.3, 1 << 10, 1000, 300};
+  } else {
+    return {0.5, 0.5, 1 << 8, 300, 300};
+  }
+}
+
+template <typename Counter>
+void RunRechecksummedFlips(WindowMode mode) {
+  constexpr FlipShape shape = FlipShapeFor<Counter>();
+  auto sketch = EcmSketch<Counter>::Create(
+      shape.epsilon, shape.delta, mode, 5000, 4, OptimizeFor::kPointQueries,
+      shape.max_arrivals);
+  ASSERT_TRUE(sketch.ok());
+  Rng rng(6);
+  Timestamp t = 1;
+  for (int i = 0; i < shape.arrivals; ++i) {
+    t += rng.Uniform(3);
+    sketch->Add(rng.Uniform(100), t);
+  }
+  const auto bytes = SerializeSketch(*sketch);
+  const size_t header = wire_internal::kSketchHeaderBytes;
+  ASSERT_GT(bytes.size(), header);
+
+  // The receiver keeps what the last trial left, so a decode runs in
+  // place over a previous sketch or, after a rejection that emptied it,
+  // into an empty receiver: the two paths a channel receiver takes.
+  std::optional<EcmSketch<Counter>> receiver;
+  ASSERT_TRUE(
+      DeserializeSketchInto(bytes.data(), bytes.size(), &receiver).ok());
+  for (int trial = 0; trial < shape.trials; ++trial) {
+    auto corrupted = bytes;
+    const size_t pos = header + rng.Uniform(bytes.size() - header);
+    corrupted[pos] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
+    // The checksum follows the magic, as ByteWriter::PutFixed wrote it.
+    const uint64_t sum = wire_internal::WireChecksum(
+        corrupted.data() + header, corrupted.size() - header);
+    std::memcpy(corrupted.data() + sizeof(wire_internal::kSketchMagic), &sum,
+                sizeof(sum));
+
+    Status st =
+        DeserializeSketchInto(corrupted.data(), corrupted.size(), &receiver);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << "byte " << pos;
+      continue;
+    }
+    const auto& back = *receiver;
+    const uint64_t window = back.config().window_len;
+    for (uint64_t key : {1u, 42u, 99u}) {
+      (void)back.PointQuery(key, window);
+      (void)back.PointQuery(key, 1 + window / 10);
+    }
+    (void)back.EstimateL1(window);
+    (void)back.SelfJoin(window);
+  }
+}
+
+TYPED_TEST(SketchFieldFlipTest, TimeBased) {
+  RunRechecksummedFlips<TypeParam>(WindowMode::kTimeBased);
+}
+TYPED_TEST(SketchFieldFlipTest, CountBased) {
+  RunRechecksummedFlips<TypeParam>(WindowMode::kCountBased);
 }
 
 TEST(CorruptionTest, CrossTypeBytesRejected) {

@@ -2,7 +2,7 @@
 // underestimation, the ε‖a‖₁ overestimation bound, inner products, linear
 // merging, and compatibility checking.
 
-#include "src/core/count_min.h"
+#include "bench/baselines/count_min.h"
 
 #include <gtest/gtest.h>
 

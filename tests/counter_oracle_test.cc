@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bench/baselines/baselines.h"
 #include "src/util/random.h"
 #include "src/window/counter_traits.h"
 

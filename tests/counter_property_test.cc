@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "bench/baselines/baselines.h"
 #include "src/util/random.h"
 #include "src/window/counter_traits.h"
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "bench/baselines/baselines.h"
 #include "src/core/ecm_sketch.h"
 #include "src/stream/generators.h"
 #include "src/util/random.h"

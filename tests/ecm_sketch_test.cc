@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/baselines/baselines.h"
 #include "src/dist/compress.h"
 #include "src/dist/serialize.h"
 #include "src/stream/generators.h"

@@ -2,10 +2,11 @@
 // the unbounded-error failure mode on small ranges the paper criticizes,
 // and its use inside an EcmSketch.
 
-#include "src/window/equiwidth_window.h"
+#include "bench/baselines/equiwidth_window.h"
 
 #include <gtest/gtest.h>
 
+#include "bench/baselines/baselines.h"
 #include "src/core/ecm_sketch.h"
 #include "src/window/counter_traits.h"
 

@@ -1,6 +1,6 @@
 // Tests for the exact sliding-window counter (the ground-truth reference).
 
-#include "src/window/exact_window.h"
+#include "bench/baselines/exact_window.h"
 
 #include <gtest/gtest.h>
 

@@ -2,10 +2,11 @@
 // the recent buffer, demotion into the equi-width tail, the unbounded
 // tail error the ECM paper's §2 cites, and EcmSketch integration.
 
-#include "src/window/hybrid_histogram.h"
+#include "bench/baselines/hybrid_histogram.h"
 
 #include <gtest/gtest.h>
 
+#include "bench/baselines/baselines.h"
 #include "src/core/ecm_sketch.h"
 #include "src/util/random.h"
 #include "src/window/counter_traits.h"

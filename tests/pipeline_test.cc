@@ -7,8 +7,8 @@
 
 #include "src/dist/periodic.h"
 #include "src/engine/continuous.h"
-#include "src/stream/reorder.h"
 #include "src/stream/wc98_like.h"
+#include "tests/reorder.h"
 
 namespace ecm {
 namespace {

@@ -1,7 +1,7 @@
 // Tests for the bounded-disorder reorder buffer: in-order release,
 // lateness policies, end-to-end sketch accuracy behind a jittery feed.
 
-#include "src/stream/reorder.h"
+#include "tests/reorder.h"
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <optional>
 
+#include "bench/baselines/baselines.h"
 #include "src/stream/generators.h"
 #include "src/util/random.h"
 
