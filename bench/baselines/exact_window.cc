@@ -64,7 +64,7 @@ void ExactWindow::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Result<ExactWindow> ExactWindow::Deserialize(ByteReader* r) {
+Status ExactWindow::DecodeFrom(ByteReader* r) {
   auto magic = r->GetFixed<uint8_t>();
   if (!magic.ok()) return magic.status();
   if (*magic != kExactMagic) {
@@ -73,15 +73,16 @@ Result<ExactWindow> ExactWindow::Deserialize(ByteReader* r) {
   auto window = r->GetVarint();
   if (!window.ok()) return window.status();
   if (*window == 0) return Status::Corruption("exact window length is zero");
-  ExactWindow ew(Config{*window});
+  window_len_ = *window;
   auto lifetime = r->GetVarint();
   if (!lifetime.ok()) return lifetime.status();
-  ew.lifetime_ = *lifetime;
+  lifetime_ = *lifetime;
   auto last_ts = r->GetVarint();
   if (!last_ts.ok()) return last_ts.status();
-  ew.last_ts_ = *last_ts;
+  last_ts_ = *last_ts;
   auto count = r->GetVarint();
   if (!count.ok()) return count.status();
+  runs_.clear();
   Timestamp prev = 0;
   for (uint64_t i = 0; i < *count; ++i) {
     auto delta = r->GetVarint();
@@ -89,9 +90,9 @@ Result<ExactWindow> ExactWindow::Deserialize(ByteReader* r) {
     auto n = r->GetVarint();
     if (!n.ok()) return n.status();
     prev += *delta;
-    ew.runs_.push_back(Run{prev, *n});
+    runs_.push_back(Run{prev, *n});
   }
-  return ew;
+  return Status::OK();
 }
 
 }  // namespace ecm

@@ -53,8 +53,10 @@ class ExactWindow {
   /// Appends the exact wire encoding to `w`.
   void SerializeTo(ByteWriter* w) const;
 
-  /// Decodes a window previously written by SerializeTo.
-  static Result<ExactWindow> Deserialize(ByteReader* r);
+  /// Decodes a window previously written by SerializeTo into this one,
+  /// in place. A failed decode leaves a partial state to re-decode or
+  /// discard.
+  Status DecodeFrom(ByteReader* r);
 
  private:
   struct Run {

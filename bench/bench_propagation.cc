@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -16,6 +17,7 @@
 #include "src/dist/compress.h"
 #include "src/dist/periodic.h"
 #include "src/dist/runtime.h"
+#include "src/dist/serialize.h"
 #include "src/dist/socket_transport.h"
 #include "src/util/timer.h"
 
@@ -55,6 +57,40 @@ RunResult RunSchedule(const std::vector<StreamEvent>& events,
   }
   out.stale_error = n ? sum / static_cast<double>(n) : 0.0;
   return out;
+}
+
+template <typename Counter>
+void ReceiveRows(const std::vector<StreamEvent>& events) {
+  const std::string name = "ECM-" + std::string(CounterName<Counter>());
+  for (size_t arrivals : {size_t{100}, size_t{5000}}) {
+    auto sketch = EcmSketch<Counter>::Create(
+        0.1, 0.1, WindowMode::kTimeBased, 100'000, 83,
+        OptimizeFor::kPointQueries, /*max_arrivals=*/1 << 16);
+    if (!sketch.ok() || events.size() < arrivals) return;
+    for (size_t i = 0; i < arrivals; ++i) {
+      sketch->Add(events[i].key, events[i].ts);
+    }
+    const std::vector<uint8_t> image = SerializeSketch(*sketch);
+    std::optional<EcmSketch<Counter>> held;
+    if (!DeserializeSketchInto(image.data(), image.size(), &held).ok()) return;
+    const double budget = SmokeMode() ? 0.02 : 0.3;
+    uint64_t decodes = 0;
+    double seconds = 0.0;
+    while (seconds < budget || decodes < 10) {
+      Timer timer;
+      (void)DeserializeSketchInto(image.data(), image.size(), &held);
+      seconds += timer.ElapsedSeconds();
+      ++decodes;
+    }
+    const double mb_per_s = static_cast<double>(image.size()) *
+                            static_cast<double>(decodes) / seconds / 1e6;
+    RecordBenchResult("prop/receive/" + name + "/" + std::to_string(arrivals),
+                      mb_per_s, static_cast<double>(image.size()));
+    PrintRow({name, std::to_string(arrivals), std::to_string(image.size()),
+              std::to_string(decodes),
+              FormatDouble(seconds * 1e6 / static_cast<double>(decodes), 1),
+              FormatDouble(mb_per_s, 1)});
+  }
 }
 
 void Run() {
@@ -165,6 +201,22 @@ void Run() {
   std::printf(
       "expected shape: us/ship linear in avg_raw_bytes (serialize, index "
       "the reference and scan the image once each)\n");
+
+  // Receive cost: steady-state DeserializeSketchInto into a held receiver
+  // (a channel receiver's decode of each full image), per counter, at
+  // fixed shapes. Only the decodes are timed.
+  PrintHeader("Receive cost: DeserializeSketchInto into a held receiver "
+              "(eps=0.1, delta=0.1, window=100000, u=2^16)",
+              {"counter", "arrivals", "image_bytes", "decodes", "us/decode",
+               "MB/s"});
+  ReceiveRows<ExponentialHistogram>(events);
+  ReceiveRows<DeterministicWave>(events);
+  ReceiveRows<RandomizedWave>(events);
+  std::printf(
+      "expected shape: MB/s roughly flat in the arrival count for each "
+      "counter (every cell decodes in place, so the cost follows the "
+      "image bytes); RW images are an order of magnitude larger than "
+      "EH's\n");
 
   // Sharded multi-threaded ingest: scheduled propagation is site-local,
   // so ParallelIngest needs no sync barrier at all — pushes ship through

@@ -11,10 +11,10 @@
 //  * randomized counters (RW): memory ∝ 1/(ε_sw²·ε_cm)
 //    → ε_sw = (√(ε²+10ε+9) + ε − 3)/4  (paper §4.2.2, Theorem 3);
 //  * self-join / inner-product queries (Theorem 2) have the constraint
-//    ε_sw² + 2ε_sw + ε_cm(1+ε_sw)² = ε; the paper gives the Cardano
-//    closed form — we obtain the same minimizer by ternary search on the
-//    (unimodal) memory objective, which is exact to machine precision and
-//    immune to transcription errors.
+//    ε_sw² + 2ε_sw + ε_cm(1+ε_sw)² = ε; SelfJoinSplitSw evaluates the
+//    paper's Cardano closed form for the minimizer of the memory
+//    objective. tests/ecm_config_test.cc checks it against a ternary
+//    search on that (unimodal) objective.
 
 #ifndef ECM_CORE_ECM_CONFIG_H_
 #define ECM_CORE_ECM_CONFIG_H_

@@ -1,7 +1,8 @@
 // Whole-sketch wire serialization (§5.3 deployment path): a site ships its
 // ECM-sketch to its parent as a self-describing byte string — magic,
 // checksum, the full EcmConfig, the sketch clock, and every counter's own
-// wire encoding (window/{exponential_histogram,…}.h SerializeTo).
+// wire encoding (window/{exponential_histogram,…}.h SerializeTo, read
+// back in place by the counter's DecodeFrom).
 //
 // The wire size of these encodings is the single source of truth for the
 // network-transfer accounting of the distributed benches (Fig. 5/6,
@@ -17,6 +18,7 @@
 #ifndef ECM_DIST_SERIALIZE_H_
 #define ECM_DIST_SERIALIZE_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -57,9 +59,19 @@ std::vector<uint8_t> WrapWirePayload(const uint8_t (&magic)[4],
 
 }  // namespace wire_internal
 
+/// A counter that rides the sketch wire: it appends its own encoding, and
+/// its one decode, DecodeFrom, refills a held counter in place (a
+/// receiver's cells) instead of building a new one.
+template <typename C>
+concept WireCounter = SlidingWindowCounter<C> &&
+                      requires(C c, const C& cc, ByteWriter* w, ByteReader* r) {
+                        cc.SerializeTo(w);
+                        { c.DecodeFrom(r) } -> std::same_as<Status>;
+                      };
+
 /// Serializes a whole sketch: header, config, clock, then all w×d counters
 /// row-major.
-template <SlidingWindowCounter Counter>
+template <WireCounter Counter>
 std::vector<uint8_t> SerializeSketch(const EcmSketch<Counter>& sketch) {
   ByteWriter payload;
   const EcmConfig& cfg = sketch.config();
@@ -74,32 +86,15 @@ std::vector<uint8_t> SerializeSketch(const EcmSketch<Counter>& sketch) {
   return wire_internal::WrapWirePayload(wire_internal::kSketchMagic, payload);
 }
 
-namespace wire_internal {
-
-/// Decodes one counter into `*cell`: in place where the counter supports
-/// it (ExponentialHistogram::DecodeFrom), by replacement otherwise.
-template <SlidingWindowCounter Counter>
-Status DecodeCounter(ByteReader* r, Counter* cell) {
-  if constexpr (requires { cell->DecodeFrom(r); }) {
-    return cell->DecodeFrom(r);
-  } else {
-    auto decoded = Counter::Deserialize(r);
-    if (!decoded.ok()) return decoded.status();
-    *cell = std::move(*decoded);
-    return Status::OK();
-  }
-}
-
-}  // namespace wire_internal
-
-/// Decodes SerializeSketch bytes into `*out`, in place when it already
-/// holds a sketch of the image's config (a channel receiver's steady
-/// state: no per-cell allocation). Corruption on truncation, checksum
-/// mismatch, any malformed field or a counter whose last timestamp is
-/// ahead of the image's clock; never crashes on hostile input. A
-/// failure before the counters leaves `*out` untouched, a later one
-/// empties it.
-template <SlidingWindowCounter Counter>
+/// Decodes SerializeSketch bytes into `*out`. When it already holds a
+/// sketch of the image's config (a channel receiver's steady state), every
+/// cell decodes in place through its DecodeFrom; otherwise a fresh sketch
+/// of that config is built first and its cells decode the same way.
+/// Corruption on truncation, checksum mismatch, any malformed field or a
+/// counter whose last timestamp is ahead of the image's clock; never
+/// crashes on hostile input. A failure before the counters leaves `*out`
+/// untouched, a later one empties it.
+template <WireCounter Counter>
 Status DeserializeSketchInto(const uint8_t* data, size_t size,
                              std::optional<EcmSketch<Counter>>* out) {
   ByteReader r(data, size);
@@ -116,7 +111,7 @@ Status DeserializeSketchInto(const uint8_t* data, size_t size,
   for (int j = 0; j < cfg->depth; ++j) {
     for (uint32_t i = 0; i < cfg->width; ++i) {
       Counter& cell = sketch.CounterAt(j, i);
-      Status st = wire_internal::DecodeCounter(&r, &cell);
+      Status st = cell.DecodeFrom(&r);
       // A sender's clock never trails its cells (Add, AdvanceTo and Merge
       // all keep Now() >= every cell), and a query at the image's clock
       // must not read a counter that is ahead of it.
@@ -139,7 +134,7 @@ Status DeserializeSketchInto(const uint8_t* data, size_t size,
 
 /// Reconstructs a sketch from SerializeSketch bytes (DeserializeSketchInto
 /// into a fresh sketch).
-template <SlidingWindowCounter Counter>
+template <WireCounter Counter>
 Result<EcmSketch<Counter>> DeserializeSketch(const uint8_t* data,
                                              size_t size) {
   std::optional<EcmSketch<Counter>> sketch;
@@ -147,7 +142,7 @@ Result<EcmSketch<Counter>> DeserializeSketch(const uint8_t* data,
   return std::move(*sketch);
 }
 
-template <SlidingWindowCounter Counter>
+template <WireCounter Counter>
 Result<EcmSketch<Counter>> DeserializeSketch(
     const std::vector<uint8_t>& bytes) {
   return DeserializeSketch<Counter>(bytes.data(), bytes.size());

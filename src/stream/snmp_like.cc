@@ -32,12 +32,8 @@ StreamEvent SnmpStream::Next() {
   return e;
 }
 
-std::unique_ptr<StreamSource> MakeSnmpStream(const SnmpConfig& config) {
-  return std::make_unique<SnmpStream>(config);
-}
-
 std::vector<StreamEvent> GenerateSnmpLike(const SnmpConfig& config) {
-  return MakeSnmpStream(config)->Take(config.num_events);
+  return SnmpStream(config).Take(config.num_events);
 }
 
 }  // namespace ecm

@@ -17,7 +17,6 @@
 #define ECM_STREAM_SNMP_LIKE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/stream/generators.h"
@@ -50,8 +49,6 @@ class SnmpStream : public StreamSource {
   Rng rng_;
   double clock_ = 1.0;
 };
-
-std::unique_ptr<StreamSource> MakeSnmpStream(const SnmpConfig& config);
 
 /// Materializes the full trace.
 std::vector<StreamEvent> GenerateSnmpLike(const SnmpConfig& config);

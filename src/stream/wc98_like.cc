@@ -2,7 +2,7 @@
 
 namespace ecm {
 
-std::unique_ptr<StreamSource> MakeWc98Stream(const Wc98Config& config) {
+std::vector<StreamEvent> GenerateWc98Like(const Wc98Config& config) {
   ZipfStream::Config zc;
   zc.domain = config.domain;
   zc.skew = config.skew;
@@ -11,11 +11,7 @@ std::unique_ptr<StreamSource> MakeWc98Stream(const Wc98Config& config) {
   zc.diurnal_amplitude = config.diurnal_amplitude;
   zc.diurnal_period = 86'400'000;  // one day of milliseconds
   zc.seed = config.seed;
-  return std::make_unique<ZipfStream>(zc);
-}
-
-std::vector<StreamEvent> GenerateWc98Like(const Wc98Config& config) {
-  return MakeWc98Stream(config)->Take(config.num_events);
+  return ZipfStream(zc).Take(config.num_events);
 }
 
 }  // namespace ecm

@@ -21,7 +21,6 @@
 #define ECM_STREAM_WC98_LIKE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/stream/generators.h"
@@ -38,9 +37,6 @@ struct Wc98Config {
   double diurnal_amplitude = 0.6;   ///< day/night swing
   uint64_t seed = 1998;
 };
-
-/// Builds the pull-based source for a wc'98-like stream.
-std::unique_ptr<StreamSource> MakeWc98Stream(const Wc98Config& config);
 
 /// Materializes the full trace (sorted by timestamp by construction).
 std::vector<StreamEvent> GenerateWc98Like(const Wc98Config& config);

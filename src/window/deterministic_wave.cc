@@ -218,7 +218,7 @@ void DeterministicWave::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Result<DeterministicWave> DeterministicWave::Deserialize(ByteReader* r) {
+Status DeterministicWave::DecodeFrom(ByteReader* r) {
   auto magic = r->GetFixed<uint8_t>();
   if (!magic.ok()) return magic.status();
   if (*magic != kDwMagic) {
@@ -236,27 +236,31 @@ Result<DeterministicWave> DeterministicWave::Deserialize(ByteReader* r) {
       *capacity == 0 || *num_levels == 0 || *num_levels > 64) {
     return Status::Corruption("deterministic-wave header out of domain");
   }
-
-  DeterministicWave dw(Config{*epsilon, *window, 1});
-  dw.level_capacity_ = *capacity;
-  dw.levels_.assign(*num_levels, {});
-  dw.anchors_.assign(*num_levels, Entry{0, 0});
+  // The header fixes the shape. A held wave of the same shape resizes
+  // nothing and refills its own cleared deques instead of new ones.
+  epsilon_ = *epsilon;
+  window_len_ = *window;
+  level_capacity_ = *capacity;
+  levels_.resize(*num_levels);
+  anchors_.resize(*num_levels);
 
   auto lifetime = r->GetVarint();
   if (!lifetime.ok()) return lifetime.status();
-  dw.lifetime_ = *lifetime;
+  lifetime_ = *lifetime;
   auto last_ts = r->GetVarint();
   if (!last_ts.ok()) return last_ts.status();
-  dw.last_ts_ = *last_ts;
+  last_ts_ = *last_ts;
 
   for (size_t j = 0; j < *num_levels; ++j) {
     auto anchor_rank = r->GetVarint();
     if (!anchor_rank.ok()) return anchor_rank.status();
     auto anchor_ts = r->GetVarint();
     if (!anchor_ts.ok()) return anchor_ts.status();
-    dw.anchors_[j] = Entry{*anchor_rank, *anchor_ts};
+    anchors_[j] = Entry{*anchor_rank, *anchor_ts};
     auto count = r->GetVarint();
     if (!count.ok()) return count.status();
+    std::deque<Entry>& level = levels_[j];
+    level.clear();
     uint64_t prev_rank = 0;
     Timestamp prev_ts = 0;
     for (uint64_t i = 0; i < *count; ++i) {
@@ -266,10 +270,10 @@ Result<DeterministicWave> DeterministicWave::Deserialize(ByteReader* r) {
       if (!dts.ok()) return dts.status();
       prev_rank += *drank;
       prev_ts += *dts;
-      dw.levels_[j].push_back(Entry{prev_rank, prev_ts});
+      level.push_back(Entry{prev_rank, prev_ts});
     }
   }
-  return dw;
+  return Status::OK();
 }
 
 }  // namespace ecm

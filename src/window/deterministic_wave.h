@@ -75,8 +75,11 @@ class DeterministicWave {
   /// Appends the exact wire encoding to `w`.
   void SerializeTo(ByteWriter* w) const;
 
-  /// Decodes a wave previously written by SerializeTo.
-  static Result<DeterministicWave> Deserialize(ByteReader* r);
+  /// Decodes a wave previously written by SerializeTo into this one, in
+  /// place: the header's shape replaces the held one and each level is
+  /// cleared and refilled. A failed decode leaves a partial state to
+  /// re-decode or discard.
+  Status DecodeFrom(ByteReader* r);
 
  private:
   struct Entry {

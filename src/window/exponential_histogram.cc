@@ -295,13 +295,6 @@ void ExponentialHistogram::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
-    ByteReader* r) {
-  ExponentialHistogram eh;
-  ECM_RETURN_NOT_OK(eh.DecodeFrom(r));
-  return eh;
-}
-
 Status ExponentialHistogram::DecodeFrom(ByteReader* r) {
   auto magic = r->GetFixed<uint8_t>();
   if (!magic.ok()) return magic.status();

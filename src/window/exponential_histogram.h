@@ -149,12 +149,10 @@ class ExponentialHistogram {
   /// timestamps) and is unchanged from the deque-backed representation.
   void SerializeTo(ByteWriter* w) const;
 
-  /// Decodes a histogram previously written by SerializeTo.
-  static Result<ExponentialHistogram> Deserialize(ByteReader* r);
-
-  /// Deserialize into this histogram, reusing each level segment that
-  /// already has its fresh-decode size (MemoryBytes matches). A failed
-  /// decode leaves a partial state to re-decode or discard.
+  /// Decodes a histogram previously written by SerializeTo into this one,
+  /// in place, reusing each level segment that already has its
+  /// fresh-decode size (MemoryBytes matches). A failed decode leaves a
+  /// partial state to re-decode or discard.
   Status DecodeFrom(ByteReader* r);
 
  private:

@@ -232,7 +232,7 @@ void RandomizedWave::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Result<RandomizedWave> RandomizedWave::Deserialize(ByteReader* r) {
+Status RandomizedWave::DecodeFrom(ByteReader* r) {
   auto magic = r->GetFixed<uint8_t>();
   if (!magic.ok()) return magic.status();
   if (*magic != kRwMagic) {
@@ -255,57 +255,54 @@ Result<RandomizedWave> RandomizedWave::Deserialize(ByteReader* r) {
       *num_levels > 64 || *num_subwaves == 0 || *num_subwaves > 257) {
     return Status::Corruption("randomized-wave header out of domain");
   }
-
-  Config cfg;
-  cfg.epsilon = *epsilon;
-  cfg.delta = *delta;
-  cfg.window_len = *window;
-  cfg.max_arrivals = 1;
-  RandomizedWave rw(cfg);
-  rw.level_capacity_ = *capacity;
-  rw.num_levels_ = static_cast<int>(*num_levels);
-  rw.subwaves_.assign(*num_subwaves, SubWave{});
-  for (auto& sw : rw.subwaves_) {
-    sw.levels.resize(rw.num_levels_);
-    sw.sizes.assign(rw.num_levels_, 0);
-    sw.truncated.assign(rw.num_levels_, false);
+  // The header fixes the shape. A held wave of the same shape resizes
+  // nothing and refills its own cleared deques instead of new ones.
+  epsilon_ = *epsilon;
+  delta_ = *delta;
+  window_len_ = *window;
+  level_capacity_ = *capacity;
+  num_levels_ = static_cast<int>(*num_levels);
+  subwaves_.resize(*num_subwaves);
+  for (SubWave& sw : subwaves_) {
+    sw.levels.resize(num_levels_);
+    sw.sizes.resize(num_levels_);
+    sw.truncated.resize(num_levels_);
   }
 
   auto lifetime = r->GetVarint();
   if (!lifetime.ok()) return lifetime.status();
-  rw.lifetime_ = *lifetime;
+  lifetime_ = *lifetime;
   auto last_ts = r->GetVarint();
   if (!last_ts.ok()) return last_ts.status();
-  rw.last_ts_ = *last_ts;
+  last_ts_ = *last_ts;
 
-  for (auto& sw : rw.subwaves_) {
-    for (int l = 0; l < rw.num_levels_; ++l) {
+  for (SubWave& sw : subwaves_) {
+    for (int l = 0; l < num_levels_; ++l) {
       auto truncated = r->GetFixed<uint8_t>();
       if (!truncated.ok()) return truncated.status();
       sw.truncated[l] = (*truncated != 0);
       auto count = r->GetVarint();
       if (!count.ok()) return count.status();
-      if (*count > rw.level_capacity_) {
+      if (*count > level_capacity_) {
         return Status::Corruption("randomized-wave level over capacity");
       }
+      std::deque<Sample>& runs = sw.levels[l];
+      runs.clear();
       Timestamp prev = 0;
-      for (uint64_t i = 0; i < *count; ++i) {
-        auto delta_ts = r->GetVarint();
-        if (!delta_ts.ok()) return delta_ts.status();
-        prev += *delta_ts;
-        auto& runs = sw.levels[l];
+      ECM_RETURN_NOT_OK(r->GetVarints(*count, [&](uint64_t delta_ts) {
+        prev += delta_ts;
         if (!runs.empty() && runs.back().ts == prev) {
           ++runs.back().count;
           ++runs.back().cum;
         } else {
-          uint64_t cum = (runs.empty() ? 0 : runs.back().cum) + 1;
+          const uint64_t cum = (runs.empty() ? 0 : runs.back().cum) + 1;
           runs.push_back(Sample{prev, 1, cum});
         }
-      }
+      }));
       sw.sizes[l] = *count;
     }
   }
-  return rw;
+  return Status::OK();
 }
 
 }  // namespace ecm

@@ -140,11 +140,16 @@ class RandomizedWave {
   /// Estimate from a single sub-wave (exposed for tests).
   double EstimateSubWave(int idx, Timestamp now, uint64_t range) const;
 
-  /// Appends the exact wire encoding to `w`.
+  /// Appends the exact wire encoding to `w`: the shape, the clock and
+  /// every retained sample. RNG state is not on the wire.
   void SerializeTo(ByteWriter* w) const;
 
-  /// Decodes a wave previously written by SerializeTo.
-  static Result<RandomizedWave> Deserialize(ByteReader* r);
+  /// Decodes a wave previously written by SerializeTo into this one, in
+  /// place: the header's shape replaces the held one and each level is
+  /// cleared and refilled. The held wave keeps its own RNG state (its
+  /// per-cell seed in a sketch). A failed decode leaves a partial state
+  /// to re-decode or discard.
+  Status DecodeFrom(ByteReader* r);
 
  private:
   // Appends `n` samples stamped `ts` to `level` of `sw`, merging into the

@@ -53,12 +53,13 @@ void RunTruncationSweep() {
   // Every strict prefix must be rejected or parse to a safe object.
   for (size_t len = 0; len < bytes.size(); len += 7) {
     ByteReader r(bytes.data(), len);
-    auto result = Counter::Deserialize(&r);
-    if (result.ok()) {
+    Counter result;
+    Status st = result.DecodeFrom(&r);
+    if (st.ok()) {
       // A prefix that happens to parse must still answer queries safely.
-      (void)result->Estimate(result->last_timestamp(), 1000);
+      (void)result.Estimate(result.last_timestamp(), 1000);
     } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption);
     }
   }
 }
@@ -89,10 +90,10 @@ void RunBitFlipSweep(int trials) {
       corrupted[pos] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
     }
     ByteReader r(corrupted);
-    auto result = Counter::Deserialize(&r);
-    if (result.ok()) {
-      (void)result->Estimate(result->last_timestamp(), 1000);
-      (void)result->MemoryBytes();
+    Counter result;
+    if (result.DecodeFrom(&r).ok()) {
+      (void)result.Estimate(result.last_timestamp(), 1000);
+      (void)result.MemoryBytes();
     }
   }
 }
@@ -176,9 +177,10 @@ using FlipCounters =
 TYPED_TEST_SUITE(SketchFieldFlipTest, FlipCounters);
 
 // Sketch shape and trial budget per counter, sized for a few seconds
-// under ASan. Deterministic and randomized waves rebuild every cell on
-// decode, and a randomized wave keeps every arrival of its low levels in
-// each of its sub-waves, so they get coarser sketches and fewer trials.
+// under ASan. Every counter gets 600 trials. A wave's image is larger per
+// cell (a deterministic wave keeps ceil(1/ε)+2 entries on every level, a
+// randomized wave every arrival of its low levels in each of its
+// sub-waves), so the waves get coarser sketches.
 struct FlipShape {
   double epsilon, delta;
   uint64_t max_arrivals;
@@ -190,9 +192,9 @@ constexpr FlipShape FlipShapeFor() {
   if constexpr (std::is_same_v<Counter, ExponentialHistogram>) {
     return {0.15, 0.2, 1 << 12, 3000, 600};
   } else if constexpr (std::is_same_v<Counter, DeterministicWave>) {
-    return {0.3, 0.3, 1 << 10, 1000, 300};
+    return {0.3, 0.3, 1 << 10, 1000, 600};
   } else {
-    return {0.5, 0.5, 1 << 8, 300, 300};
+    return {0.5, 0.5, 1 << 8, 300, 600};
   }
 }
 
@@ -257,16 +259,20 @@ TEST(CorruptionTest, CrossTypeBytesRejected) {
   // Bytes of one synopsis type must not parse as another (magic bytes).
   auto eh_bytes = SerializedCounter<ExponentialHistogram>(7);
   ByteReader r1(eh_bytes);
-  EXPECT_FALSE(DeterministicWave::Deserialize(&r1).ok());
+  DeterministicWave dw;
+  EXPECT_FALSE(dw.DecodeFrom(&r1).ok());
   ByteReader r2(eh_bytes);
-  EXPECT_FALSE(RandomizedWave::Deserialize(&r2).ok());
+  RandomizedWave rw;
+  EXPECT_FALSE(rw.DecodeFrom(&r2).ok());
   ByteReader r3(eh_bytes);
-  EXPECT_FALSE(ExactWindow::Deserialize(&r3).ok());
+  ExactWindow ew;
+  EXPECT_FALSE(ew.DecodeFrom(&r3).ok());
 }
 
 TEST(CorruptionTest, EmptyInputRejectedEverywhere) {
   ByteReader r(nullptr, 0);
-  EXPECT_FALSE(ExponentialHistogram::Deserialize(&r).ok());
+  ExponentialHistogram eh;
+  EXPECT_FALSE(eh.DecodeFrom(&r).ok());
   ByteReader r2(nullptr, 0);
   EXPECT_FALSE(DeserializeEcmConfig(&r2).ok());
 }

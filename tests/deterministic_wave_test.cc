@@ -149,20 +149,21 @@ TEST(DeterministicWaveTest, SerializeRoundTrip) {
   ByteWriter w;
   dw.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = DeterministicWave::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
+  DeterministicWave back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(back->lifetime_count(), dw.lifetime_count());
-  EXPECT_EQ(back->num_levels(), dw.num_levels());
+  EXPECT_EQ(back.lifetime_count(), dw.lifetime_count());
+  EXPECT_EQ(back.num_levels(), dw.num_levels());
   for (uint64_t range : {100u, 1000u, 5000u}) {
-    EXPECT_EQ(back->Estimate(t, range), dw.Estimate(t, range));
+    EXPECT_EQ(back.Estimate(t, range), dw.Estimate(t, range));
   }
 }
 
 TEST(DeterministicWaveTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0x42, 0x00};
   ByteReader r(junk.data(), junk.size());
-  EXPECT_FALSE(DeterministicWave::Deserialize(&r).ok());
+  DeterministicWave back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 TEST(DeterministicWaveTest, DegradesGracefullyBeyondProvisionedBound) {

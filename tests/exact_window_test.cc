@@ -61,22 +61,23 @@ TEST(ExactWindowTest, SerializeRoundTrip) {
   ByteWriter w;
   ew.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = ExactWindow::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
+  ExactWindow back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(back->lifetime_count(), ew.lifetime_count());
+  EXPECT_EQ(back.lifetime_count(), ew.lifetime_count());
   // The loop's last Add lands on t=700, so query at the counter's clock
   // (Estimate requires now >= the last Add timestamp).
   const Timestamp now = ew.last_timestamp();
   for (uint64_t range : {50u, 200u, 500u}) {
-    EXPECT_EQ(back->Estimate(now, range), ew.Estimate(now, range));
+    EXPECT_EQ(back.Estimate(now, range), ew.Estimate(now, range));
   }
 }
 
 TEST(ExactWindowTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0x11};
   ByteReader r(junk.data(), junk.size());
-  EXPECT_FALSE(ExactWindow::Deserialize(&r).ok());
+  ExactWindow back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 }  // namespace

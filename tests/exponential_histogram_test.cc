@@ -159,21 +159,22 @@ TEST(ExponentialHistogramTest, SerializeRoundTrip) {
   ByteWriter w;
   eh.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = ExponentialHistogram::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
+  ExponentialHistogram back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(back->NumBuckets(), eh.NumBuckets());
-  EXPECT_EQ(back->BucketTotal(), eh.BucketTotal());
-  EXPECT_EQ(back->lifetime_count(), eh.lifetime_count());
+  EXPECT_EQ(back.NumBuckets(), eh.NumBuckets());
+  EXPECT_EQ(back.BucketTotal(), eh.BucketTotal());
+  EXPECT_EQ(back.lifetime_count(), eh.lifetime_count());
   for (uint64_t range : {10u, 100u, 1000u}) {
-    EXPECT_EQ(back->Estimate(t, range), eh.Estimate(t, range));
+    EXPECT_EQ(back.Estimate(t, range), eh.Estimate(t, range));
   }
 }
 
 TEST(ExponentialHistogramTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0xFF, 0x01, 0x02};
   ByteReader r(junk.data(), junk.size());
-  EXPECT_FALSE(ExponentialHistogram::Deserialize(&r).ok());
+  ExponentialHistogram back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 TEST(ExponentialHistogramTest, DeserializeRejectsTruncation) {
@@ -183,7 +184,8 @@ TEST(ExponentialHistogramTest, DeserializeRejectsTruncation) {
   eh.SerializeTo(&w);
   auto bytes = w.bytes();
   ByteReader r(bytes.data(), bytes.size() / 2);
-  EXPECT_FALSE(ExponentialHistogram::Deserialize(&r).ok());
+  ExponentialHistogram back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -311,14 +313,14 @@ TEST(ExponentialHistogramTest, SegmentedArenaRoundTripIsByteStable) {
   ByteWriter w;
   eh.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = ExponentialHistogram::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
+  ExponentialHistogram back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   EXPECT_TRUE(r.exhausted());
   ByteWriter w2;
-  back->SerializeTo(&w2);
+  back.SerializeTo(&w2);
   EXPECT_EQ(w.bytes(), w2.bytes());
   for (uint64_t range : {100u, 5'000u, 50'000u}) {
-    EXPECT_EQ(back->Estimate(t, range), eh.Estimate(t, range));
+    EXPECT_EQ(back.Estimate(t, range), eh.Estimate(t, range));
   }
 }
 

@@ -102,14 +102,14 @@ TEST(QueryEquivalenceTest, RwEstimateMatchesScanAfterRoundTrip) {
   ByteWriter w;
   rw.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = RandomizedWave::Deserialize(&r);
-  ASSERT_TRUE(back.ok());
+  RandomizedWave back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   const uint64_t ranges[] = {7, 133, 1024, kWindow};
   for (uint64_t range : ranges) {
     // The decoded wave's run cumulative counts must be consistent: its
     // indexed estimate equals both its own scan and the original's.
-    EXPECT_EQ(back->Estimate(t, range), oracle::ScanEstimate(*back, t, range));
-    EXPECT_EQ(back->Estimate(t, range), rw.Estimate(t, range));
+    EXPECT_EQ(back.Estimate(t, range), oracle::ScanEstimate(back, t, range));
+    EXPECT_EQ(back.Estimate(t, range), rw.Estimate(t, range));
   }
 }
 

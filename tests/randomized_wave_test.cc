@@ -163,20 +163,21 @@ TEST(RandomizedWaveTest, SerializeRoundTrip) {
   ByteWriter w;
   rw.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = RandomizedWave::Deserialize(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
+  RandomizedWave back;
+  ASSERT_TRUE(back.DecodeFrom(&r).ok());
   EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(back->lifetime_count(), rw.lifetime_count());
-  EXPECT_EQ(back->num_subwaves(), rw.num_subwaves());
+  EXPECT_EQ(back.lifetime_count(), rw.lifetime_count());
+  EXPECT_EQ(back.num_subwaves(), rw.num_subwaves());
   for (uint64_t range : {500u, 2000u, 5000u}) {
-    EXPECT_EQ(back->Estimate(t, range), rw.Estimate(t, range));
+    EXPECT_EQ(back.Estimate(t, range), rw.Estimate(t, range));
   }
 }
 
 TEST(RandomizedWaveTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0x00, 0x01, 0x02, 0x03};
   ByteReader r(junk.data(), junk.size());
-  EXPECT_FALSE(RandomizedWave::Deserialize(&r).ok());
+  RandomizedWave back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 TEST(RandomizedWaveTest, DeserializeRejectsOverCapacityLevel) {
@@ -197,8 +198,8 @@ TEST(RandomizedWaveTest, DeserializeRejectsOverCapacityLevel) {
   w.PutVarint(20);            // 20 samples > capacity 16
   for (int i = 0; i < 20; ++i) w.PutVarint(1);
   ByteReader r(w.bytes());
-  auto result = RandomizedWave::Deserialize(&r);
-  EXPECT_FALSE(result.ok());
+  RandomizedWave back;
+  EXPECT_FALSE(back.DecodeFrom(&r).ok());
 }
 
 TEST(RandomizedWaveTest, ExpiryKeepsWindowEstimatesSane) {

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <optional>
+#include <string>
 
 #include "bench/baselines/baselines.h"
 #include "src/stream/generators.h"
@@ -241,6 +242,139 @@ TEST(SerializeSketchTest, DecodeIntoFailureLeavesHeldSketchOrEmptiesIt) {
       DeserializeSketchInto(malformed.data(), malformed.size(), &held).code(),
       StatusCode::kCorruption);
   EXPECT_FALSE(held.has_value());
+}
+
+// Every counter has one decode, DecodeFrom, which refills a held counter
+// in place. Whatever the held receiver went through before, the sketch it
+// decodes must be the fresh decode of the same bytes in every observable
+// way: the same answers, the same re-serialized bytes and the same memory.
+template <typename Counter>
+class InPlaceDecodeTest : public ::testing::Test {};
+using WireCounters = ::testing::Types<ExponentialHistogram, DeterministicWave,
+                                      RandomizedWave, ExactWindow>;
+TYPED_TEST_SUITE(InPlaceDecodeTest, WireCounters);
+
+template <typename Counter>
+void ExpectHeldDecodeIsFresh(const std::vector<uint8_t>& bytes,
+                             std::optional<EcmSketch<Counter>>* held) {
+  ASSERT_TRUE(DeserializeSketchInto(bytes.data(), bytes.size(), held).ok());
+  auto fresh = DeserializeSketch<Counter>(bytes);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const EcmSketch<Counter>& back = **held;
+  EXPECT_EQ(SerializeSketch(back), bytes);
+  EXPECT_EQ(back.MemoryBytes(), fresh->MemoryBytes());
+  const uint64_t window = back.config().window_len;
+  for (uint64_t key = 0; key < 500; key += 23) {
+    for (uint64_t range : {uint64_t{1}, window / 50, window / 5, window}) {
+      EXPECT_EQ(back.PointQuery(key, range), fresh->PointQuery(key, range))
+          << "key " << key << " range " << range;
+    }
+  }
+}
+
+TYPED_TEST(InPlaceDecodeTest, HeldReceiverMatchesFreshDecode) {
+  using Counter = TypeParam;
+  auto sketch = EcmSketch<Counter>::Create(
+      0.1, 0.1, WindowMode::kTimeBased, 50000, 11,
+      OptimizeFor::kPointQueries, /*max_arrivals=*/1 << 16);
+  ASSERT_TRUE(sketch.ok());
+  std::optional<EcmSketch<Counter>> held;
+  ZipfStream::Config zc;
+  zc.domain = 500;
+  zc.seed = 5;
+  ZipfStream stream(zc);
+  // One config at several fill levels: the levels fill, then the window
+  // slides past most of what they held.
+  std::vector<uint8_t> bytes;
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (const auto& e : stream.Take(round < 4 ? 2000 : 200)) {
+      sketch->Add(e.key, e.ts + static_cast<Timestamp>(round) * 20000);
+    }
+    bytes = SerializeSketch(*sketch);
+    ExpectHeldDecodeIsFresh(bytes, &held);
+  }
+
+  // An image of another config.
+  auto other = EcmSketch<Counter>::Create(
+      0.2, 0.2, WindowMode::kTimeBased, 1000, 3, OptimizeFor::kPointQueries,
+      /*max_arrivals=*/1 << 10);
+  ASSERT_TRUE(other.ok());
+  FillSketch<Counter>(&*other, 800, 4);
+  const std::vector<uint8_t> other_bytes = SerializeSketch(*other);
+  {
+    SCOPED_TRACE("other config");
+    ExpectHeldDecodeIsFresh(other_bytes, &held);
+  }
+
+  // A truncated image is rejected. Cut short under its old checksum, it
+  // fails before any counter and the held sketch survives; cut short
+  // behind a valid checksum, it fails inside a counter and empties the
+  // receiver. The next good image decodes into it again.
+  std::vector<uint8_t> truncated = bytes;
+  truncated.resize(truncated.size() * 3 / 5);
+  EXPECT_EQ(
+      DeserializeSketchInto(truncated.data(), truncated.size(), &held).code(),
+      StatusCode::kCorruption);
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(SerializeSketch(*held), other_bytes);
+  const size_t header = wire_internal::kSketchHeaderBytes;
+  const uint64_t sum = wire_internal::WireChecksum(
+      truncated.data() + header, truncated.size() - header);
+  std::memcpy(truncated.data() + sizeof(wire_internal::kSketchMagic), &sum,
+              sizeof(sum));
+  EXPECT_EQ(
+      DeserializeSketchInto(truncated.data(), truncated.size(), &held).code(),
+      StatusCode::kCorruption);
+  EXPECT_FALSE(held.has_value());
+  {
+    SCOPED_TRACE("after a rejected image");
+    ExpectHeldDecodeIsFresh(bytes, &held);
+  }
+}
+
+// The sketch layer rebuilds a receiver of another config before its cells
+// decode, so a held counter meets a header of another shape, or a failed
+// decode's partial state, only at the counter layer: a counter shaped for
+// one config decodes cells of another, a truncated cell, and a good cell
+// again, each matching a fresh counter's decode of the same bytes.
+TYPED_TEST(InPlaceDecodeTest, HeldCounterMatchesFreshDecode) {
+  using Counter = TypeParam;
+  auto small = EcmSketch<Counter>::Create(
+      0.2, 0.2, WindowMode::kTimeBased, 1000, 3, OptimizeFor::kPointQueries,
+      /*max_arrivals=*/1 << 10);
+  auto large = EcmSketch<Counter>::Create(
+      0.1, 0.1, WindowMode::kTimeBased, 50000, 11,
+      OptimizeFor::kPointQueries, /*max_arrivals=*/1 << 16);
+  ASSERT_TRUE(small.ok() && large.ok());
+  FillSketch<Counter>(&*small, 800, 4);
+  FillSketch<Counter>(&*large, 5000, 5);
+
+  Counter cell(MakeCounterConfig<Counter>(small->config()));
+  for (const auto* source : {&*large, &*small, &*large}) {
+    ByteWriter w;
+    source->CounterAt(0, 0).SerializeTo(&w);
+    const std::vector<uint8_t>& image = w.bytes();
+    ByteReader cut(image.data(), image.size() / 2);
+    EXPECT_FALSE(cell.DecodeFrom(&cut).ok());
+
+    ByteReader r(image);
+    ASSERT_TRUE(cell.DecodeFrom(&r).ok());
+    EXPECT_TRUE(r.exhausted());
+    Counter fresh;
+    ByteReader fresh_r(image);
+    ASSERT_TRUE(fresh.DecodeFrom(&fresh_r).ok());
+    ByteWriter again;
+    cell.SerializeTo(&again);
+    EXPECT_EQ(again.bytes(), image);
+    EXPECT_EQ(cell.MemoryBytes(), fresh.MemoryBytes());
+    const Timestamp now = source->Now();
+    const uint64_t window = source->config().window_len;
+    for (uint64_t range : {uint64_t{1}, window / 50, window / 5, window}) {
+      EXPECT_EQ(cell.Estimate(now, range), fresh.Estimate(now, range))
+          << "range " << range;
+    }
+  }
 }
 
 TEST(SerializeSketchTest, WireSizeOrdersOfMagnitude) {
